@@ -9,7 +9,7 @@ Layers
 ``kernels``    pure-NumPy per-series math (MASS, MPX, STOMP, SCRIMP++, SKIMP,
                MPDist, discords/motifs/regimes/snippets, moving stats) —
                no Ray imports; value-conformant with the reference's own
-               golden test corpus (tests/golden/*.txt).
+               golden test corpus (tests/*.txt).
 ``functions``  vectorized row/batch helpers (tokenization, delta-of-delta +
                Gorilla-XOR codecs, text analysis, dedup hashing).
 ``sources``    dataset constructors (documents->sequences derivation and the

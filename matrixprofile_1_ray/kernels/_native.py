@@ -1,23 +1,34 @@
-"""Optional compiled diagonal-walk kernels (ctypes + gcc, self-contained).
+"""Optional compiled self-join and AB-join kernels (ctypes + gcc,
+self-contained).
 
 The reference's per-core throughput comes from compiled Cython scalar walks
 (reference cympx.pyx:30-119, 122-284); the pure-NumPy diagonal kernel pays
 ~10 memory passes per diagonal (np.cumsum alone is ~40% of the serial
 time).  This module closes that per-core gap the same way the reference
 does — a compiled streaming walk — but without adding a build step or a
-dependency: the ~60-line C source below is compiled AT IMPORT with the
-system gcc into a per-user 0700 ``~/.cache`` directory keyed by source
-hash and loaded via ctypes.
+dependency: the C source below is compiled AT IMPORT with the system gcc
+into a per-user 0700 ``~/.cache`` directory keyed by source hash and
+loaded via ctypes.
 If no compiler is present (or anything else fails) ``AVAILABLE`` is False
-and callers keep the NumPy path, which remains the conformance baseline
-(tests cross-check native vs NumPy).
+and callers keep the NumPy paths (kernels/mpx.py), which remain the
+conformance baseline (tests cross-check native vs NumPy).
 
-Arithmetic note: the C walk accumulates ``c`` seed-first per element
-(exactly the reference's update order, cympx.pyx:85-93) while the NumPy
-path computes cumsum-then-add-seed; values agree to fp rounding (~1e-12
-relative), far inside the golden tolerance.  Callers only dispatch here
-above a size threshold, so the tiny exact-index conformance tests always
-take the NumPy path.
+Dispatch: whenever ``AVAILABLE`` is set, EVERY self-join takes the
+compiled path, whatever its length — ``mpx_self_batch`` does a whole
+ragged batch of rows (precompute, walk, clamp, ED conversion) in one call,
+and ``mpx_precompute_native`` gives the diagonal fan-out
+(state/chunked.py) the very same per-series state, so a fanned-out
+profile equals the serial one bit for bit, tie indices included.
+
+Arithmetic note: the C precompute sums each window directly (mean, then
+squared deviations, exactly zero on constant windows) and seeds every
+diagonal with an exact dot product; the C walk accumulates ``c``
+seed-first per element (the reference's update order, cympx.pyx:85-93).
+The NumPy fallback computes the same quantities in a different summation
+order (pairwise sums, cumsum-then-add-seed), so the two agree to fp
+rounding (~1e-13), far inside the golden tolerance.  The NumPy walk shares
+the tie order (ascending diagonals, column side first); the gram-matrix
+path may pick a different, exactly tied partner among repeated windows.
 """
 
 from __future__ import annotations
@@ -31,13 +42,12 @@ import tempfile
 import numpy as np
 
 _SRC = r"""
+#include <math.h>
 #include <stdint.h>
 
-/* Self-join diagonal range walk: for each diagonal d, stream the
-   covariance c along the diagonal and update row (raw) / column
-   (clamped) profile entries with strict-greater max-correlation merges.
-   Diagonals are processed in independent groups of 4 for ILP (the c
-   accumulator chain is latency-bound). */
+/* Self-join diagonal walk: stream the covariance c along diagonal d and
+   update row (raw) / column (clamped) profile entries with
+   strict-greater max-correlation merges. */
 static void one_diag(int64_t d, int64_t pl, const double *seed,
                      const double *df, const double *dg, const double *sig,
                      double *mp, int64_t *mpi)
@@ -61,6 +71,78 @@ void mpx_diag_range_native(int64_t d_lo, int64_t d_hi, const double *seed,
 {
     for (int64_t d = d_lo; d < d_hi && d < pl; d++)
         one_diag(d, pl, seed, df, dg, sig, mp, mpi);
+}
+
+/* Per-series self-join state over the pl = n - w + 1 windows of ts:
+   moving mean mu and inverse centered norm sig (each window summed
+   directly; sig is exactly 0 on a constant window, like muinvn), the
+   df/dg difference terms (cympx.pyx:76-80) and the covariance of every
+   window against window 0 by exact dot products (the diagonal seeds). */
+void mpx_precompute_native(const double *ts, int64_t n, int64_t w,
+                           double *mu, double *sig, double *df, double *dg,
+                           double *seed)
+{
+    int64_t pl = n - w + 1;
+    for (int64_t i = 0; i < pl; i++) {
+        const double *x = ts + i;
+        double s = 0.0;
+        int constant = 1;
+        for (int64_t k = 0; k < w; k++) {
+            s += x[k];
+            constant &= x[k] == x[0];
+        }
+        double m = s / w;
+        double ssq = 0.0;
+        if (!constant)
+            for (int64_t k = 0; k < w; k++)
+                ssq += (x[k] - m) * (x[k] - m);
+        mu[i] = m;
+        sig[i] = ssq > 0.0 ? 1.0 / sqrt(ssq) : 0.0;
+    }
+    df[0] = 0.0;
+    dg[0] = 0.0;
+    for (int64_t j = 1; j < pl; j++) {
+        df[j] = 0.5 * (ts[j + w - 1] - ts[j - 1]);
+        dg[j] = (ts[j + w - 1] - mu[j]) + (ts[j - 1] - mu[j - 1]);
+    }
+    for (int64_t i = 0; i < pl; i++) {
+        double c = 0.0;
+        for (int64_t k = 0; k < w; k++)
+            c += ts[i + k] * ts[k];
+        seed[i] = c - ((double)w * mu[i]) * mu[0];
+    }
+}
+
+/* Self-join profiles of a ragged batch in one call.  Row r is
+   values[offsets[r]:offsets[r+1]]; its profile goes to
+   mp_out/mpi_out[out_offsets[r]:out_offsets[r+1]], and a row with an
+   empty output segment is skipped (the caller checked every other
+   segment holds n - w + 1 entries).  scratch holds 5 * (longest pl)
+   doubles.  Unmatched entries stay -1 (Pearson) before conversion. */
+void mpx_self_batch(const double *values, const int64_t *offsets,
+                    const int64_t *out_offsets, int64_t n_rows, int64_t w,
+                    int64_t cross_correlation, double *mp_out,
+                    int64_t *mpi_out, double *scratch)
+{
+    int64_t minlag = (w + 3) / 4;  /* ceil(w / 4) */
+    for (int64_t r = 0; r < n_rows; r++) {
+        int64_t pl = out_offsets[r + 1] - out_offsets[r];
+        if (pl <= 0)
+            continue;
+        double *mu = scratch, *sig = mu + pl, *df = sig + pl,
+               *dg = df + pl, *seed = dg + pl;
+        mpx_precompute_native(values + offsets[r], pl + w - 1, w,
+                              mu, sig, df, dg, seed);
+        double *mp = mp_out + out_offsets[r];
+        int64_t *mpi = mpi_out + out_offsets[r];
+        for (int64_t j = 0; j < pl; j++) { mp[j] = -1.0; mpi[j] = -1; }
+        mpx_diag_range_native(minlag + 1, pl, seed, df, dg, sig, mp, mpi, pl);
+        /* final merge clamp (cympx.pyx:104-112), then Pearson -> ED */
+        for (int64_t j = 0; j < pl; j++) {
+            double p = mp[j] > 1.0 ? 1.0 : mp[j];
+            mp[j] = cross_correlation ? p : sqrt((2.0 * w) * (1.0 - p));
+        }
+    }
 }
 
 /* One directional AB-join pass (reference cympx.pyx:194-237): diagonals
@@ -129,7 +211,7 @@ def _build() -> str:
     # final rename is atomic so every loader sees a complete .so
     tmp_path = f"{so_path}.{os.getpid()}.tmp"
     subprocess.run(
-        ["gcc", "-O2", "-shared", "-fPIC", "-o", tmp_path, c_path],
+        ["gcc", "-O2", "-shared", "-fPIC", "-o", tmp_path, c_path, "-lm"],
         check=True, capture_output=True, timeout=60)
     os.replace(tmp_path, so_path)
     return so_path
@@ -150,6 +232,11 @@ def _load():
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int64]
         lib.ab_one_side_native.restype = None
+        vp, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.mpx_precompute_native.argtypes = [vp, i64, i64] + [vp] * 5
+        lib.mpx_precompute_native.restype = None
+        lib.mpx_self_batch.argtypes = [vp, vp, vp, i64, i64, i64, vp, vp, vp]
+        lib.mpx_self_batch.restype = None
         _lib = lib
         AVAILABLE = True
     except Exception:
@@ -187,3 +274,53 @@ def ab_one_side_native(seed, df_a, dg_a, df_b, dg_b, sig_a, sig_b,
         _dptr(sig_a), _dptr(sig_b), _dptr(mp_a), _iptr(mpi_a),
         _dptr(mp_b), _iptr(mpi_b), sig_a.shape[0], sig_b.shape[0],
         0 if delta is None else 1, 0 if delta is None else delta, minlag)
+
+
+def mpx_precompute_native(ts, w: int):
+    """(seed, df, dg, sig) of one series — the state ``mpx_self_batch``
+    builds for each row."""
+    ts = np.ascontiguousarray(ts, dtype="d")
+    if not 1 <= w <= ts.shape[0]:
+        raise ValueError("window must be in [1, len(ts)]")
+    pl = ts.shape[0] - w + 1
+    out = np.empty((5, pl))
+    mu, sig, df, dg, seed = out
+    _lib.mpx_precompute_native(ts.ctypes.data, ts.shape[0], w, mu.ctypes.data,
+                               sig.ctypes.data, df.ctypes.data,
+                               dg.ctypes.data, seed.ctypes.data)
+    return seed, df, dg, sig
+
+
+def mpx_self_batch(values, offsets, out_offsets, w: int,
+                   cross_correlation: bool = False):
+    """Self-join profiles of every row of a ragged batch in one native call.
+
+    Row ``r`` is ``values[offsets[r]:offsets[r+1]]``; its profile fills
+    ``out_offsets[r]:out_offsets[r+1]`` of the returned flat ``(mp, mpi)``.
+    A row whose output segment is empty is skipped; every other segment
+    must hold exactly ``n - w + 1`` entries.  ``mp`` is ED unless
+    ``cross_correlation`` (then Pearson, -1 where unmatched)."""
+    values = np.ascontiguousarray(values, dtype="d")
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    out_offsets = np.ascontiguousarray(out_offsets, dtype=np.int64)
+    n_rows = out_offsets.shape[0] - 1
+    pl = np.diff(out_offsets)
+    # the C side trusts these bounds, so check them here (vectorized)
+    if w < 1:
+        raise ValueError("window must be at least 1")
+    if (offsets.shape[0] != n_rows + 1 or out_offsets[0] != 0
+            or np.any(pl < 0)
+            or np.any((pl != 0) & (pl != np.diff(offsets) - w + 1))
+            or offsets.min() < 0 or offsets.max() > values.shape[0]):
+        raise ValueError("each computed row needs n - w + 1 output "
+                         "entries and its values inside the buffer")
+    total = int(out_offsets[-1])
+    mp = np.empty(total)
+    mpi = np.empty(total, dtype=np.int64)
+    if total:
+        scratch = np.empty(5 * int(pl.max()))
+        _lib.mpx_self_batch(values.ctypes.data, offsets.ctypes.data,
+                            out_offsets.ctypes.data, n_rows, w,
+                            int(bool(cross_correlation)), mp.ctypes.data,
+                            mpi.ctypes.data, scratch.ctypes.data)
+    return mp, mpi

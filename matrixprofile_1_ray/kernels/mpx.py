@@ -31,25 +31,17 @@ from .moving_stats import muinvn
 # golden tolerance of 1e-4 once scaled by 1/(w*sigma^2)).
 _EXACT_SDP_LIMIT = 1 << 25
 
-# Self-joins with profiles up to this length use one BLAS gram-matrix
-# (z-normalized windows @ transpose) instead of the per-diagonal walk —
-# ~3x faster in the short-sequence regime that dominates the corpus
-# (measured crossover ~pl=700 on this hardware; beyond it the per-diagonal
-# cumsum walk wins because the pl^2 matrix falls out of cache).
+# Self-join dispatch: with the compiled kernels available (kernels/_native.py)
+# every self-join, whatever its length, runs natively — mpx_self through the
+# one-call batch entry, the diagonal fan-out through the same C precompute
+# and walk, so serial and fanned-out profiles agree bit for bit, ties
+# included.  The NumPy paths below are the no-compiler fallback only: there,
+# profiles up to this length use one BLAS gram-matrix (z-normalized windows
+# @ transpose) — ~3x faster than the NumPy diagonal walk on short rows
+# (measured crossover ~pl=700; beyond it the pl^2 matrix falls out of cache
+# and the per-diagonal cumsum walk wins).
 _MATMUL_PL_LIMIT = 700
 
-# Profile lengths >= this use the compiled streaming walk when available
-# (kernels/_native.py).  Set to the matmul crossover: measured on this
-# hardware the NumPy diagonal walk costs 17-41 ms across pl 770-1570
-# where the native walk takes 1-2.5 ms (15x) — and ~1 ktok sequences are
-# exactly the corpus's hot band, so leaving a NumPy-walk window between
-# the matmul and native regimes taxed the flagship profile stage ~8x.
-# The NumPy walk remains the exact no-native fallback.  The two paths
-# agree to ~1e-13 (seed-first vs cumsum-then-seed accumulation order) and
-# share the reference's tie ORDER (column side first per diagonal); every
-# bounded-slice oracle runs at pl <= 225, inside the unchanged matmul
-# path.
-_NATIVE_MIN_PL = _MATMUL_PL_LIMIT + 1
 # AB joins: the compiled one-side walk wins at EVERY size (measured 4x
 # at a 33x33-window join up to 25x in the 0.1-1.4M-product mid band —
 # the per-diagonal Python loop dominates the NumPy path's cost), so
@@ -104,22 +96,21 @@ def mpx_self(ts, w: int, cross_correlation: bool = False):
     """
     ts = np.ascontiguousarray(ts, dtype="d")
     n = ts.shape[0]
-    minlag = int(math.ceil(w / 4.0))
+    if w > n:
+        raise ValueError("window larger than series")
     pl = n - w + 1
-
-    mu, sig = muinvn(ts, w)
+    if _native.AVAILABLE:
+        return _native.mpx_self_batch(ts, np.array([0, n]), np.array([0, pl]),
+                                      w, cross_correlation)
 
     if pl <= _MATMUL_PL_LIMIT:
-        return _mpx_self_matmul(ts, w, pl, minlag, mu, sig, cross_correlation)
+        mu, sig = muinvn(ts, w)
+        return _mpx_self_matmul(ts, w, pl, int(math.ceil(w / 4.0)), mu, sig,
+                                cross_correlation)
 
-    df, dg = _diff_eqs(ts, mu, w)
-
+    seed, df, dg, sig, minlag = mpx_precompute(ts, w)
     mp = np.full(pl, -1.0)
     mpi = np.full(pl, -1, dtype=np.int64)
-
-    # covariance of every window against window 0 seeds each diagonal
-    seed = _seed_products(ts, ts[:w]) - w * mu * mu[0]
-
     mpx_diag_range(minlag + 1, pl, seed, df, dg, sig, mp, mpi)
 
     np.minimum(mp, 1.0, out=mp)  # final merge clamp (cympx.pyx:104-112)
@@ -133,11 +124,11 @@ def mpx_diag_range(d_lo: int, d_hi: int, seed, df, dg, sig, mp, mpi):
     place with Pearson values.  Partial results over disjoint diagonal
     ranges merge by elementwise max-correlation (the reference's per-thread
     merge law, cympx.pyx:104-112) — which is what lets state/chunked.py
-    fan the diagonal axis out over Ray tasks.  Dispatches to the compiled
-    walk for long profiles (the choice depends only on pl, so every task
-    of a fanned-out range picks the same path)."""
+    fan the diagonal axis out over Ray tasks.  Runs the compiled walk
+    whenever it is available (the same walk mpx_self runs), else the
+    NumPy walk."""
     pl = sig.shape[0]
-    if _native.AVAILABLE and pl >= _NATIVE_MIN_PL:
+    if _native.AVAILABLE:
         return _native.mpx_diag_range_native(d_lo, d_hi, seed, df, dg,
                                              sig, mp, mpi)
     offsets = np.arange(pl)
@@ -182,12 +173,18 @@ def mpx_diag_range(d_lo: int, d_hi: int, seed, df, dg, sig, mp, mpi):
 
 def mpx_precompute(ts, w: int):
     """Shared per-series state for diagonal-partitioned execution:
-    (seed, df, dg, sig, minlag)."""
+    (seed, df, dg, sig, minlag).  Built by the same code as mpx_self's on
+    either path (C precompute, or NumPy when no compiler is present), so
+    a fanned-out walk reproduces the serial profile exactly."""
     ts = np.ascontiguousarray(ts, dtype="d")
+    minlag = int(math.ceil(w / 4.0))
+    if _native.AVAILABLE:
+        return (*_native.mpx_precompute_native(ts, w), minlag)
     mu, sig = muinvn(ts, w)
     df, dg = _diff_eqs(ts, mu, w)
+    # covariance of every window against window 0 seeds each diagonal
     seed = _seed_products(ts, ts[:w]) - w * mu * mu[0]
-    return seed, df, dg, sig, int(math.ceil(w / 4.0))
+    return seed, df, dg, sig, minlag
 
 
 def merge_pearson_partials(parts):

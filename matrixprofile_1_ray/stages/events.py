@@ -54,9 +54,11 @@ def session_windows(ds, gap_minutes: int = 30, num_partitions: int = 16):
         n = len(g)
         new_user = np.ones(n, dtype=bool)
         if n > 1:
-            new_user[1:] = ~pc.equal(users.slice(1),
-                                     users.slice(0, n - 1)).to_numpy(
-                                         zero_copy_only=False)
+            # a null user_id compares as null: fill it as "changed" so the
+            # mask stays boolean (each null-keyed event is its own run)
+            same = pc.fill_null(pc.equal(users.slice(1),
+                                         users.slice(0, n - 1)), False)
+            new_user[1:] = ~same.to_numpy(zero_copy_only=False)
         big_gap = np.concatenate(([True], np.diff(ts_np) > gap))
         starts = new_user | big_gap
         session_ids = np.cumsum(starts)          # 1-based, global in part

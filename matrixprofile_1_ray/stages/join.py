@@ -177,7 +177,10 @@ def broadcast_semi_join(ds, key_values, key, anti: bool = False):
         # that when the stage is hot)
         import pyarrow.compute as pc
 
-        mask = pc.is_in(batch[key], value_set=pa.array(ray.get(keys_ref)))
+        # explicit type: an empty key set would otherwise infer the null
+        # type, which is_in rejects against a typed key column
+        mask = pc.is_in(batch[key], value_set=pa.array(
+            ray.get(keys_ref), type=batch[key].type))
         if anti:
             mask = pc.invert(pc.fill_null(mask, False))
         return batch.filter(mask)

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.tokenize import list_column_to_numpy, numpy_to_list_column
+from ..kernels import _native
 from ..kernels.mpx import mpx_self
 
 
@@ -62,41 +63,21 @@ def compute_profiles_batch(batch: pa.Table, w: int = 32,
     values, offsets = list_column_to_numpy(batch["tokens"])
     n_rows = len(batch)
 
-    mp_parts: list[np.ndarray] = []
-    pi_parts: list[np.ndarray] = []
     lr_parts: dict[str, list[np.ndarray]] = {k: [] for k in
                                              ("lmp", "lpi", "rmp", "rpi")}
-    out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    valid = np.zeros(n_rows, dtype=bool)
+    if algorithm == "mpx" and _native.AVAILABLE:
+        # the whole batch in one compiled call: no per-row NumPy work
+        n_tok = np.diff(offsets)
+        valid = n_tok >= 2 * w
+        out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.where(valid, n_tok - w + 1, 0), out=out_offsets[1:])
+        flat_mp, flat_pi = _native.mpx_self_batch(
+            values, offsets, out_offsets, w, cross_correlation)
+    else:
+        flat_mp, flat_pi, out_offsets, valid = _profiles_per_row(
+            batch, values, offsets, w, algorithm, cross_correlation,
+            sample_pct, lr_parts if keep_lr else None)
 
-    for i in range(n_rows):
-        ts = values[offsets[i] : offsets[i + 1]].astype("d")
-        if ts.shape[0] >= 2 * w:
-            if algorithm == "mpx":
-                mp, pi = mpx_self(ts, w, cross_correlation)
-            elif algorithm == "stomp":
-                prof = stomp(ts, w)
-                mp, pi = prof["mp"], prof["pi"]
-                if keep_lr:
-                    for key in lr_parts:
-                        lr_parts[key].append(prof[key])
-            elif algorithm == "scrimp++":
-                # deterministic per-doc seed (process-salted hash() is not)
-                seed = zlib.crc32(batch["doc_id"][i].as_py().encode()) & 0x7FFFFFFF
-                prof = scrimp_plus_plus(ts, w, sample_pct=sample_pct,
-                                        random_state=seed)
-                mp, pi = prof["mp"], prof["pi"]
-            else:
-                raise ValueError(f"unknown algorithm: {algorithm}")
-            mp_parts.append(mp)
-            pi_parts.append(pi)
-            valid[i] = True
-            out_offsets[i + 1] = out_offsets[i] + mp.shape[0]
-        else:
-            out_offsets[i + 1] = out_offsets[i]
-
-    flat_mp = np.concatenate(mp_parts) if mp_parts else np.empty(0, "d")
-    flat_pi = np.concatenate(pi_parts) if pi_parts else np.empty(0, np.int64)
     # numpy_to_list_column falls back to large_list past int32 — a raw
     # astype(int32) would silently wrap offsets for a batch of ~10M-token
     # rows and corrupt every list column
@@ -125,6 +106,45 @@ def compute_profiles_batch(batch: pa.Table, w: int = 32,
             typ = pa.int64() if key.endswith("pi") else pa.float64()
             cols[key] = numpy_to_list_column(flat, out_offsets, typ)
     return pa.table(cols)
+
+
+def _profiles_per_row(batch, values, offsets, w, algorithm, cross_correlation,
+                      sample_pct, lr_parts):
+    """Row-by-row kernel calls of compute_profiles_batch; ``lr_parts``
+    collects STOMP's left/right profiles when given."""
+    n_rows = len(batch)
+    mp_parts: list[np.ndarray] = []
+    pi_parts: list[np.ndarray] = []
+    out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    valid = np.zeros(n_rows, dtype=bool)
+
+    for i in range(n_rows):
+        ts = values[offsets[i] : offsets[i + 1]].astype("d")
+        if ts.shape[0] >= 2 * w:
+            if algorithm == "mpx":
+                mp, pi = mpx_self(ts, w, cross_correlation)
+            elif algorithm == "stomp":
+                prof = stomp(ts, w)
+                mp, pi = prof["mp"], prof["pi"]
+                if lr_parts is not None:
+                    for key in lr_parts:
+                        lr_parts[key].append(prof[key])
+            else:
+                # deterministic per-doc seed (process-salted hash() is not)
+                seed = zlib.crc32(batch["doc_id"][i].as_py().encode()) & 0x7FFFFFFF
+                prof = scrimp_plus_plus(ts, w, sample_pct=sample_pct,
+                                        random_state=seed)
+                mp, pi = prof["mp"], prof["pi"]
+            mp_parts.append(mp)
+            pi_parts.append(pi)
+            valid[i] = True
+            out_offsets[i + 1] = out_offsets[i] + mp.shape[0]
+        else:
+            out_offsets[i + 1] = out_offsets[i]
+
+    flat_mp = np.concatenate(mp_parts) if mp_parts else np.empty(0, "d")
+    flat_pi = np.concatenate(pi_parts) if pi_parts else np.empty(0, np.int64)
+    return flat_mp, flat_pi, out_offsets, valid
 
 
 def mp_rows_small_batch(batch: pa.Table, w: int = 16, max_n: int = 256,
@@ -331,7 +351,9 @@ def corpus_motifs_small_batch(batch: pa.Table, **small_kwargs) -> pa.Table:
     ``motif_dist`` is the rounded profile value at ``first_idx`` from
     :func:`mp_rows_small_batch` — the same value the SQL oracle's
     ``mp_rows`` CTE carries, so the global (motif_dist ASC, doc_id ASC)
-    ordering is decided on bit-identical keys in both engines."""
+    ordering is decided on bit-identical keys in both engines.  ``w``,
+    ``max_n`` and ``sig2_floor`` reach both passes, so the distance is
+    looked up in the profile the motif came from."""
     pairs = motifs_small_batch(batch, **small_kwargs)
     empty = pa.table({
         "doc_id": pa.array([], pa.string()),
@@ -341,7 +363,9 @@ def corpus_motifs_small_batch(batch: pa.Table, **small_kwargs) -> pa.Table:
     })
     if len(pairs) == 0:
         return empty
-    rows = mp_rows_small_batch(batch)
+    rows = mp_rows_small_batch(batch, **{
+        k: v for k, v in small_kwargs.items()
+        if k in ("w", "max_n", "sig2_floor")})
     lookup = {}
     r_doc = rows["doc_id"].to_pylist()
     r_idx = rows["idx"].to_numpy()

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_DIR = os.path.dirname(__file__)
 
 
 def golden(name):

@@ -41,6 +41,31 @@ def test_sliding_window_counts(entry_mod):
     assert (out.window_start % (15 * 60 * 1_000_000) == 0).all()
 
 
+
+def test_session_windows_null_user_id(ray_session):
+    """A null user_id must not crash sessionization: each null-keyed event
+    stands alone and every other user's sessions are unaffected."""
+    import ray.data
+
+    from matrixprofile_1_ray.stages.events import session_windows
+
+    t0 = np.datetime64("2024-01-01T00:00:00", "us")
+    mins = np.array([0, 10, 100, 5, 0, 50], dtype="timedelta64[m]")
+    events = pa.table({
+        "user_id": pa.array(["a", "a", "a", None, "b", None], pa.string()),
+        "ts": pa.array(t0 + mins.astype("timedelta64[us]")),
+    })
+    out = (session_windows(ray.data.from_arrow(events), gap_minutes=30,
+                           num_partitions=1)
+           .to_pandas())
+    named = out[out.user_id.notna()].set_index("user_id")
+    assert named.loc["a", "n_sessions"] == 2
+    assert named.loc["a", "n_events"] == 3
+    assert named.loc["a", "max_session_events"] == 2
+    assert named.loc["b", "n_events"] == 1
+    nulls = out[out.user_id.isna()]
+    assert nulls.n_events.sum() == 2 and (nulls.n_sessions == 1).all()
+
 def test_connected_components(ray_session):
     import ray.data
 

@@ -104,6 +104,22 @@ def test_semi_and_anti_join(ray_session):
     assert not anti.l_orderkey.isin(keys).any()
 
 
+
+def test_semi_join_empty_key_set(ray_session):
+    """No keys: the semi join is empty and the anti join keeps every row
+    (an untyped empty value set raised ArrowTypeError on string keys)."""
+    import pyarrow as pa
+    import ray.data
+
+    from matrixprofile_1_ray.stages.join import broadcast_semi_join
+
+    for keys in (pa.array(["a", "b", None, "c"]), pa.array([3, 1, 2])):
+        ds = ray.data.from_arrow(pa.table({"k": keys}))
+        assert broadcast_semi_join(ds, [], "k").count() == 0
+        assert (broadcast_semi_join(ds, [], "k", anti=True).count()
+                == len(keys))
+
+
 def test_asof_join_keeps_all_null_left_column(ray_session):
     """asof_join must not drop a left column that is all-null in a part
     (the dropna side-splitter defect fixed in hash_join existed here too)."""

@@ -1,5 +1,7 @@
 """Round-4 kernel/state review fixes, each pinned by a regression test."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -198,10 +200,10 @@ def test_stomp_partition_invariance_random_nan_patterns(seed):
         np.testing.assert_allclose(alt["rmp"], base["rmp"], atol=1e-9)
 
 
-def test_native_dispatch_crossover_agrees_with_numpy_walk():
-    """pl just above the matmul limit now dispatches to the native walk;
-    it must agree with the NumPy fallback to accumulation-order tolerance
-    (~1e-13) with identical neighbor indices on generic data."""
+def test_native_dispatch_crossover_agrees_with_numpy_walk(monkeypatch):
+    """pl above the gcc-less matmul limit: the native self-join must agree
+    with the NumPy fallback walk to accumulation-order tolerance (~1e-13)
+    with identical neighbor indices on generic data."""
     import importlib
 
     M = importlib.import_module("matrixprofile_1_ray.kernels.mpx")
@@ -213,13 +215,11 @@ def test_native_dispatch_crossover_agrees_with_numpy_walk():
     for n in (760, 1000, 1500):
         ts = rng.uniform(size=n)
         w = 32
-        mp_nat, mpi_nat = M.mpx_self(ts, w)        # native (pl >= 701)
-        old = M._NATIVE_MIN_PL
-        M._NATIVE_MIN_PL = 1 << 30                 # force NumPy walk
-        try:
+        mp_nat, mpi_nat = M.mpx_self(ts, w)        # native
+        with monkeypatch.context() as m:           # force NumPy walk
+            m.setattr(sys.modules["matrixprofile_1_ray.kernels._native"],
+                      "AVAILABLE", False)
             mp_np, mpi_np = M.mpx_self(ts, w)
-        finally:
-            M._NATIVE_MIN_PL = old
         np.testing.assert_allclose(mp_nat, mp_np, atol=1e-9)
         np.testing.assert_array_equal(mpi_nat, mpi_np)
 

@@ -259,3 +259,28 @@ def test_motif_dist_is_the_pair_distance():
         mp = mp_vals[mp_off[i]:mp_off[i + 1]]
         assert r.motif_dist == min(mp[int(r.motif_first)],
                                    mp[int(r.motif_second)])
+
+
+def test_corpus_motifs_small_batch_forwards_window_kwargs():
+    """motif_dist comes from the profile at the CALLER's w, max_n and
+    sig2_floor — not from a second pass at the defaults."""
+    from matrixprofile_1_ray.kernels.mpx import mpx_self
+    from matrixprofile_1_ray.stages.profile import (
+        corpus_motifs_small_batch,
+        motifs_small_batch,
+    )
+
+    table = synthetic_sequences_table(40, seed=7)
+    kw = dict(w=8, max_n=200, sig2_floor=1e-2)
+    out = corpus_motifs_small_batch(table, **kw)
+    assert len(out) > 0
+    pairs = motifs_small_batch(table, **kw)
+    assert out["doc_id"].to_pylist() == pairs["doc_id"].to_pylist()
+    values, offsets = list_column_to_numpy(table["tokens"])
+    docs = table["doc_id"].to_pylist()
+    for d, first, dist in zip(out["doc_id"].to_pylist(),
+                              out["first_idx"].to_pylist(),
+                              out["motif_dist"].to_pylist()):
+        i = docs.index(d)
+        ts = values[offsets[i]:offsets[i + 1]].astype("d")
+        assert dist == np.round(mpx_self(ts, 8)[0][first], 4)
