@@ -216,7 +216,7 @@ def run_bench() -> dict:
 
         rng = np.random.default_rng(0)
         series = rng.uniform(size=32768)
-        mp, _ = distributed_mpx(series, 32, n_partitions=NUM_CPUS * 2)
+        mp, _ = distributed_mpx(series, 32)
         return mp.shape[0]
 
     mpx_long_run()  # warm the worker pool once, untimed

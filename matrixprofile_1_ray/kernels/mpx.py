@@ -42,14 +42,6 @@ _EXACT_SDP_LIMIT = 1 << 25
 # and the per-diagonal cumsum walk wins).
 _MATMUL_PL_LIMIT = 700
 
-# AB joins: the compiled one-side walk wins at EVERY size (measured 4x
-# at a 33x33-window join up to 25x in the 0.1-1.4M-product mid band —
-# the per-diagonal Python loop dominates the NumPy path's cost), so
-# dispatch to native whenever it is available; the NumPy walk is the
-# exact fallback.  The two paths agree to ~1e-13 with identical tie
-# order (ascending diagonals, row then column per offset).
-_NATIVE_MIN_AB = 0
-
 # Correlations within this margin of 1 snap to exactly 1 (distance 0) in
 # BOTH the direct (mpx_ab) and tiled (tiled_mpx_ab) AB joins.  It must be
 # one shared constant: each tile re-seeds its own cumsum, whose rounding
@@ -187,15 +179,14 @@ def mpx_precompute(ts, w: int):
     return seed, df, dg, sig, minlag
 
 
-def merge_pearson_partials(parts):
-    """Merge (mp, mpi) Pearson partials by elementwise max-correlation."""
-    mp = parts[0][0].copy()
-    mpi = parts[0][1].copy()
-    for pmp_, pmpi_ in parts[1:]:
-        better = pmp_ > mp
-        mp[better] = pmp_[better]
-        mpi[better] = pmpi_[better]
-    return mp, mpi
+def merge_pearson_partials(left, right):
+    """Merge two (mp, mpi) Pearson partials by elementwise max-correlation.
+    Strict ``>``: on an exact tie the left (earlier-range) partial keeps
+    its index, so an ordered fold over diagonal ranges, in any grouping,
+    reproduces the serial walk's tie law."""
+    better = right[0] > left[0]
+    return (np.where(better, right[0], left[0]),
+            np.where(better, right[1], left[1]))
 
 
 def _mpx_self_matmul(ts, w, pl, minlag, mu, sig, cross_correlation):
@@ -247,7 +238,7 @@ def _ab_one_side(seed, df_a, dg_a, df_b, dg_b, sig_a, sig_b, mp_a, mpi_a, mp_b, 
     ``|delta + i| <= minlag`` are skipped wholesale."""
     pl_a = sig_a.shape[0]
     pl_b = sig_b.shape[0]
-    if _native.AVAILABLE and pl_a * pl_b >= _NATIVE_MIN_AB:
+    if _native.AVAILABLE:
         _native.ab_one_side_native(seed, df_a, dg_a, df_b, dg_b,
                                    sig_a, sig_b, mp_a, mpi_a, mp_b, mpi_b,
                                    delta=delta, minlag=minlag)

@@ -96,26 +96,24 @@ def _profile_row_table(row, mp, pi, w: int, valid: bool = True):
     })
 
 
-def compute_long_row_profile(ts, w: int, *, tile_threshold: int = 1 << 22,
-                             tile: int = 1 << 16,
-                             n_partitions: int | None = None):
+# Long rows above TILE_THRESHOLD points take the SCAMP-tile decomposition
+# in TILE-point strips, so no single worker ever holds the series.
+TILE_THRESHOLD = 1 << 22
+TILE = 1 << 16
+
+
+def compute_long_row_profile(ts, w: int):
     """(mp, pi) for one giant series via the whole-cluster fan-out:
     diagonal-range tasks normally, the SCAMP-tile decomposition above
-    ``tile_threshold`` (no single worker ever holds the series)."""
-    import ray
-
+    ``TILE_THRESHOLD``."""
     from ..state.chunked import distributed_mpx, distributed_tiled_mpx
 
-    if ts.shape[0] > tile_threshold:
-        return distributed_tiled_mpx(ts, w, tile=tile)
-    if n_partitions is None:
-        n_partitions = 2 * int(ray.cluster_resources().get("CPU", 4))
-    return distributed_mpx(ts, w, n_partitions=n_partitions)
+    if ts.shape[0] > TILE_THRESHOLD:
+        return distributed_tiled_mpx(ts, w, tile=TILE)
+    return distributed_mpx(ts, w)
 
 
-def long_row_profile_table(row, w: int, *, tile_threshold: int = 1 << 22,
-                           tile: int = 1 << 16,
-                           n_partitions: int | None = None):
+def long_row_profile_table(row, w: int):
     """Profiles-schema table for ONE long row via the cluster fan-out,
     under the same lossless-row contract as ``compute_profiles_batch``:
     a row shorter than ``2*w`` (possible when ``long_threshold < 2*w - 1``)
@@ -127,8 +125,7 @@ def long_row_profile_table(row, w: int, *, tile_threshold: int = 1 << 22,
     if ts.shape[0] < 2 * w:
         return _profile_row_table(row, np.empty(0, "d"),
                                   np.empty(0, np.int64), w, valid=False)
-    mp, pi = compute_long_row_profile(ts, w, tile_threshold=tile_threshold,
-                                      tile=tile, n_partitions=n_partitions)
+    mp, pi = compute_long_row_profile(ts, w)
     return _profile_row_table(row, mp, pi, w)
 
 
@@ -152,7 +149,7 @@ def iter_long_corpus_rows(source, long_threshold: int, preprocess=None):
             yield preprocess(row) if preprocess else row
 
 
-def flagship_tail_rows(row, w: int, tiers=None, **fan_kwargs):
+def flagship_tail_rows(row, w: int, tiers=None):
     """Unified flagship rollup rows (token + mp kinds) for ONE long row,
     profile computed via the distributed fan-out — the tail-side
     counterpart of ``flagship_batch`` (a too-short row contributes its
@@ -162,7 +159,7 @@ def flagship_tail_rows(row, w: int, tiers=None, **fan_kwargs):
     token_rolls = rollup_batch(row, tiers=tiers)
     token_rolls = token_rolls.append_column(
         "kind", pa.array(["token"] * len(token_rolls), pa.string()))
-    mp_rolls = mp_rollup_batch(long_row_profile_table(row, w, **fan_kwargs),
+    mp_rolls = mp_rollup_batch(long_row_profile_table(row, w),
                                tiers=tiers)
     mp_rolls = mp_rolls.append_column(
         "kind", pa.array(["mp"] * len(mp_rolls), pa.string()))
@@ -172,9 +169,7 @@ def flagship_tail_rows(row, w: int, tiers=None, **fan_kwargs):
 
 def profiles_skew_aware(ds, w: int = 32, *, long_threshold: int = 1 << 17,
                         corpus_path: str | None = None,
-                        preprocess=None,
-                        tile_threshold: int = 1 << 22, tile: int = 1 << 16,
-                        n_partitions: int | None = None):
+                        preprocess=None):
     """Length-routed matrix profiles: same output schema/values as
     ``profiles_pipeline``'s stage, different execution per row size.
 
@@ -184,7 +179,7 @@ def profiles_skew_aware(ds, w: int = 32, *, long_threshold: int = 1 << 17,
     straggles the whole stage.  Rows with ``n_tok > long_threshold`` are
     therefore routed to the whole-cluster diagonal fan-out
     (state.chunked.distributed_mpx; the SCAMP-tiled variant above
-    ``tile_threshold``, where one worker should not hold the series),
+    ``TILE_THRESHOLD``, where one worker should not hold the series),
     driven one row at a time from the driver: each tail row individually
     saturates the cluster, so serial iteration adds no idle time, and the
     driver holds at most one long row's tokens.  Short rows stream through
@@ -242,9 +237,7 @@ def profiles_skew_aware(ds, w: int = 32, *, long_threshold: int = 1 << 17,
     # store spills; a driver-side list of profile tables would not)
     long_refs = []
     for row in iter_long():
-        tbl = long_row_profile_table(row, w, tile_threshold=tile_threshold,
-                                     tile=tile, n_partitions=n_partitions)
-        long_refs.append(ray.put(tbl))
+        long_refs.append(ray.put(long_row_profile_table(row, w)))
 
     if not long_refs:
         return short

@@ -299,7 +299,7 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
 
     attached = both.groupby("_part").map_groups(attach, batch_format="pandas")
 
-    def judge(g: pd.DataFrame) -> pd.DataFrame:
+    def judge(g: pd.DataFrame) -> pa.Table:
         a = g[g["slot"] == "a"].set_index("pair_id")
         b = g[g["slot"] == "b"].set_index("pair_id")
         common = a.index.intersection(b.index)
@@ -307,10 +307,14 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
         sims = np.array([jaccard(np.frombuffer(x, np.uint64),
                                  np.frombuffer(y, np.uint64))
                          for x, y in zip(a["shingles"], b["shingles"])])
-        out = pd.DataFrame({"doc_a": a["doc_a"].to_numpy(),
-                            "doc_b": a["doc_b"].to_numpy(),
-                            "jaccard": sims})
-        return out[out["jaccard"] >= threshold]
+        keep = sims >= threshold
+        # typed Arrow columns: a part with no surviving pair would
+        # otherwise emit empty object columns, which carry no type
+        return pa.table({
+            "doc_a": pa.array(a["doc_a"].to_numpy()[keep], pa.string()),
+            "doc_b": pa.array(a["doc_b"].to_numpy()[keep], pa.string()),
+            "jaccard": pa.array(sims[keep], pa.float64()),
+        })
 
     return attached.groupby("_part").map_groups(judge, batch_format="pandas")
 

@@ -8,26 +8,41 @@ Two scale paths, both exact:
   only bucket rows, never tokens.  Buckets spanning a chunk boundary are
   merged by the aggregate, which is what makes chunk size a free parameter.
 
-* **Matrix profiles**: the reference's own range-batch scheme (reference
-  stomp.py:313-357) is a partial+final aggregate: each task computes the
-  distance profiles of a query-window range against the whole series and
-  partials merge by elementwise min (kernels.stomp.merge_profiles, proven
-  associative by the partition-count-invariance test).  The series and its
-  moving statistics are broadcast once via ``ray.put`` and read by every
-  range task — not re-shipped per batch.  Partitioning assumption: one
-  series' full float64 stream fits in a worker's object-store slice (8 GB
-  per 10^9 points); beyond that the tiled AB-join decomposition applies.
+* **Matrix profiles**: the reference's own partial+final aggregate —
+  partial profiles over ranges (its STOMP over query-window ranges,
+  stomp.py:313-357; its MPX over per-thread diagonal ranges,
+  cympx.pyx:104-112), merged elementwise.  One helper, ``_tree_fan_out``,
+  runs it for mpx, stomp and scrimp++: the shared series state is
+  ``ray.put`` once, one module-level leaf task runs per range, and the
+  partials reduce task-side in an ordered fan-in-8 tree.  Each caller
+  supplies only a plan (range bounds), a leaf kernel and an associative,
+  left-biased binary merge law, so the output is independent of the
+  partition count, ties included.  Beyond one worker's object-store
+  slice (8 GB per 10^9 points) ``distributed_tiled_mpx`` applies the
+  tiled decomposition, absorbing its strip-local partials on the driver.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 from ..functions.tokenize import list_column_to_numpy
 from ..kernels.mass import clean_nan_inf, fft_convolve, find_skip_locations
 from ..kernels.moving_stats import moving_avg_std
+from ..kernels.mpx import (
+    merge_pearson_partials,
+    merge_tile_partial,
+    mpx_diag_range,
+    mpx_precompute,
+    tile_pair_partials,
+)
+from ..kernels.scrimp import merge_scrimp_partials, prescrimp, scrimp_refine_diags
 from ..kernels.stomp import merge_profiles, stomp_batch
 from ..stages.rollup import TIERS
 
@@ -138,27 +153,67 @@ def chunked_rollup(chunks_ds, tiers=None):
     return merged.map_batches(finish, batch_format="pandas")
 
 
-def distributed_mpx(ts, w: int, n_partitions: int = 16):
-    """Exact MPX self-join over one long series as a Ray fan-out over the
+# Merge-tree fan-in: each merge task left-folds up to FAN_IN contiguous
+# partials.  Fan-in 8 beats a binary tree (fewer object-store writes:
+# (N-1)/7 vs N-1 intermediate partials) and a driver fold (merges run
+# worker-side in parallel; the driver holds refs only) — measured at
+# pl=2e6 x 16 partials: 0.64 s vs 0.87-3.1 s driver fold vs 1.9-4.4 s
+# binary tree.
+FAN_IN = 8
+
+
+@ray.remote
+def _leaf(kernel, lo, hi, shared):
+    return kernel(lo, hi, shared)
+
+
+@ray.remote
+def _merge_group(merge, *parts):
+    return functools.reduce(merge, parts)
+
+
+def _tree_fan_out(shared, plan, kernel, merge, n_partitions):
+    """The one long-series fan-out: ``shared`` goes to the object store
+    once, ``plan(n_partitions)`` gives the ascending range bounds, one
+    ``kernel(lo, hi, shared)`` task runs per non-empty range, and the
+    partials reduce task-side in a FAN_IN-ary tree of contiguous groups.
+    Each merge task left-folds its group in range order, so for an
+    associative left-biased binary ``merge`` the result equals the serial
+    fold over the ranges, ties included.  ``n_partitions=None`` plans two
+    ranges per cluster CPU."""
+    shared_ref = ray.put(shared)
+    if n_partitions is None:
+        n_partitions = 2 * int(ray.cluster_resources().get("CPU", 4))
+    bounds = plan(n_partitions)
+    refs = [_leaf.remote(kernel, int(lo), int(hi), shared_ref)
+            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    while len(refs) > 1:
+        refs = [_merge_group.remote(merge, *refs[i : i + FAN_IN])
+                for i in range(0, len(refs), FAN_IN)]
+    return ray.get(refs[0])
+
+
+def _mpx_leaf(lo, hi, state):
+    seed, df, dg, sig = state
+    mp = np.full(sig.shape[0], -1.0)
+    mpi = np.full(sig.shape[0], -1, dtype=np.int64)
+    mpx_diag_range(lo, hi, seed, df, dg, sig, mp, mpi)
+    return mp, mpi
+
+
+def distributed_mpx(ts, w: int, n_partitions: int | None = None):
+    """Exact MPX self-join over one long series, fanned out over the
     diagonal axis — the reference parallelizes the same axis with OpenMP
-    threads (cympx.pyx:82-112); here each Ray task walks a contiguous
-    diagonal range against broadcast per-series state and the partials
-    merge by elementwise max-correlation.
+    threads (cympx.pyx:82-112); here each task walks a contiguous diagonal
+    range against the broadcast per-series state and the partials merge by
+    elementwise max-correlation (merge_pearson_partials).
 
     Ranges are sized so each carries ~equal work: diagonal d costs
     (pl - d) updates, so boundaries follow the quantiles of the cumulative
-    work curve rather than equal diagonal counts.
-
-    This is one of the few places raw ``@ray.remote`` tasks beat the
-    Dataset API: a per-series scatter-gather over a broadcast 4-array
-    state with sub-second tasks — Dataset block accounting added ~8x
-    overhead in measurement, while raw tasks reach 0.46 s at n=32768 on
-    32 cpus vs the reference's 0.816 s with 4 OpenMP threads.
+    work curve rather than equal diagonal counts.  Raw tasks rather than
+    the Dataset API: Dataset block accounting added ~8x overhead on this
+    per-series scatter-gather in measurement.
     """
-    import ray
-
-    from ..kernels.mpx import merge_pearson_partials, mpx_diag_range, mpx_precompute
-
     ts = np.ascontiguousarray(ts, dtype="d")
     seed, df, dg, sig, minlag = mpx_precompute(ts, w)
     pl = sig.shape[0]
@@ -171,27 +226,18 @@ def distributed_mpx(ts, w: int, n_partitions: int = 16):
         return np.sqrt(2.0 * w * (1.0 - mp)), np.full(pl, -1, dtype=np.int64)
 
     # equal-work boundaries: cumulative work W(d) = sum_{d0..d}(pl - d)
-    diag_costs = pl - np.arange(d0, pl)
-    cum = np.cumsum(diag_costs)
-    targets = np.linspace(0, cum[-1], n_partitions + 1)[1:-1]
-    cuts = d0 + np.searchsorted(cum, targets)
-    bounds = np.unique(np.concatenate(([d0], cuts, [pl])))
+    cum = np.cumsum(pl - np.arange(d0, pl))
 
-    state = ray.put((seed, df, dg, sig))
+    def plan(n):
+        cuts = d0 + np.searchsorted(cum, np.linspace(0, cum[-1], n + 1)[1:-1])
+        return np.unique(np.concatenate(([d0], cuts, [pl])))
 
-    @ray.remote
-    def run_range(lo, hi, state_ref):
-        seed_, df_, dg_, sig_ = state_ref
-        mp = np.full(pl, -1.0)
-        mpi = np.full(pl, -1, dtype=np.int64)
-        mpx_diag_range(int(lo), int(hi), seed_, df_, dg_, sig_, mp, mpi)
-        return mp, mpi
-
-    parts = ray.get([run_range.remote(lo, hi, state)
-                     for lo, hi in zip(bounds[:-1], bounds[1:])])
-    mp, mpi = merge_pearson_partials(parts)
-    np.minimum(mp, 1.0, out=mp)
-    return np.sqrt(2.0 * w * (1.0 - mp)), mpi
+    mp, mpi = _tree_fan_out((seed, df, dg, sig), plan, _mpx_leaf,
+                            merge_pearson_partials, n_partitions)
+    mp = np.minimum(mp, 1.0)
+    # ray.get hands back read-only views of the object store; the caller
+    # gets a writable index array, as from mpx_self
+    return np.sqrt(2.0 * w * (1.0 - mp)), mpi.copy()
 
 
 def distributed_tiled_mpx(ts, w: int, tile: int, max_in_flight: int = 64):
@@ -202,16 +248,10 @@ def distributed_tiled_mpx(ts, w: int, tile: int, max_in_flight: int = 64):
     O(tile + w), independent of series length.  Partials merge by
     max-correlation on the driver as tasks complete (bounded in-flight
     window so the driver never holds all partials)."""
-    import math as _math
-
-    import ray
-
-    from ..kernels.mpx import tile_pair_partials
-
     ts = np.ascontiguousarray(ts, dtype="d")
     n = ts.shape[0]
     pl = n - w + 1
-    minlag = int(_math.ceil(w / 4.0))
+    minlag = int(math.ceil(w / 4.0))
 
     starts = list(range(0, pl, tile))
     strips = {r: ray.put(np.ascontiguousarray(ts[r : min(r + tile, pl) - 1 + w]))
@@ -228,8 +268,6 @@ def distributed_tiled_mpx(ts, w: int, tile: int, max_in_flight: int = 64):
     mpi = np.full(pl, -1, dtype=np.int64)
 
     def absorb(result):
-        from ..kernels.mpx import merge_tile_partial
-
         a_lo, a_hi, b_lo, b_hi, mp_a, mpi_a, mp_b, mpi_b = result
         merge_tile_partial(mp, mpi, a_lo, a_hi, mp_a, mpi_a, b_lo, self_join_ties=True)
         merge_tile_partial(mp, mpi, b_lo, b_hi, mp_b, mpi_b, a_lo, self_join_ties=True)
@@ -251,20 +289,17 @@ def distributed_tiled_mpx(ts, w: int, tile: int, max_in_flight: int = 64):
     return np.sqrt(2.0 * w * (1.0 - mp)), mpi
 
 
-def distributed_stomp(ts, w: int, n_partitions: int = 8):
-    """Exact STOMP over one long series as a Ray fan-out: broadcast the
-    series + moving stats once, one task per query-window range, then a
-    TASK-SIDE 8-ary tree reduce over merge_profiles (kernels/stomp.py:
-    merge_profiles is associative with left-biased ties, so a group tree
-    that keeps partials in range order is exact-equal to the serial
-    fold).  The driver holds object refs only — at a 10^7-point series
-    the partials (6 arrays x profile_length each) never all coexist in
-    driver heap, and the merges run worker-side in parallel depth
-    log8(n_partitions) instead of serializing on the driver.  Raw
-    ``@ray.remote`` tasks, same rationale as distributed_mpx above.
-    Returns the same dict as kernels.stomp.stomp."""
-    import ray
+def _stomp_leaf(lo, hi, s):
+    return stomp_batch(lo, hi, s["ts"], s["ts"], s["w"], s["ez"], False,
+                       s["mu"], s["sig"], s["first_product"], s["skip"])
 
+
+def distributed_stomp(ts, w: int, n_partitions: int | None = None):
+    """Exact STOMP over one long series, fanned out over query-window
+    ranges (reference stomp.py:313-357) with the series and its moving
+    stats broadcast once; partials merge by merge_profiles (elementwise
+    min, left-biased ties).  Returns the same dict as
+    kernels.stomp.stomp."""
     ts = np.asarray(ts, dtype="d")
     n = ts.shape[0]
     profile_length = n - w + 1
@@ -276,43 +311,16 @@ def distributed_stomp(ts, w: int, n_partitions: int = 8):
     skip_locs = find_skip_locations(ts, profile_length, w)
     ts = clean_nan_inf(ts)
     data_mu, data_sig = moving_avg_std(ts, w)
-    first_product = fft_convolve(ts, ts[:w])
-
-    shared = ray.put({
-        "ts": ts, "mu": data_mu, "sig": data_sig,
-        "first_product": first_product, "skip": skip_locs,
-    })
-
-    bounds = np.linspace(0, profile_length, n_partitions + 1).astype(int)
-
-    @ray.remote
-    def run_range(s, e, state_ref):
-        return stomp_batch(int(s), int(e), state_ref["ts"], state_ref["ts"],
-                           w, ez, False, state_ref["mu"], state_ref["sig"],
-                           state_ref["first_product"], state_ref["skip"])
-
-    @ray.remote
-    def merge_group(*parts):
-        import functools
-
-        return functools.reduce(merge_profiles, parts)
+    shared = {
+        "ts": ts, "w": w, "ez": ez, "mu": data_mu, "sig": data_sig,
+        "first_product": fft_convolve(ts, ts[:w]), "skip": skip_locs,
+    }
 
     # duplicate linspace bounds (profile_length < n_partitions) yield
-    # zero-width ranges — skip them rather than launching empty tasks
-    refs = [run_range.remote(s, e, shared)
-            for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
-    # 8-ary tree reduce over contiguous groups: each task left-folds its
-    # group in range order, so left-biased tie-breaks in merge_profiles
-    # resolve exactly as the serial fold would.  Fan-in 8 beats binary
-    # (fewer object-store writes: (N-1)/7 vs N-1 intermediate partials)
-    # and beats a driver fold (merges run worker-side in parallel; the
-    # driver holds refs only — measured at pl=2e6 x 16 partials: 0.64 s
-    # vs 0.87-3.1 s driver fold vs 1.9-4.4 s binary tree)
-    fan_in = 8
-    while len(refs) > 1:
-        refs = [merge_group.remote(*refs[i : i + fan_in])
-                for i in range(0, len(refs), fan_in)]
-    result = ray.get(refs[0])
+    # zero-width ranges, which the fan-out skips
+    result = _tree_fan_out(
+        shared, lambda k: np.linspace(0, profile_length, k + 1).astype(int),
+        _stomp_leaf, merge_profiles, n_partitions)
 
     return {
         "mp": result["mp"], "pi": result["pi"],
@@ -324,20 +332,25 @@ def distributed_stomp(ts, w: int, n_partitions: int = 8):
     }
 
 
+def _scrimp_leaf(lo, hi, s):
+    pl = s["ts"].shape[0] - s["w"] + 1
+    mp = np.full(pl, np.inf)
+    pi = np.full(pl, -1, dtype=np.int64)
+    scrimp_refine_diags(s["ts"], s["w"], s["mu"], s["sig"],
+                        s["order"][lo:hi], mp, pi)
+    return mp, pi
+
+
 def distributed_scrimp(ts, w: int, step_size: float = 0.25,
                        sample_pct: float = 0.1, random_state=None,
-                       n_partitions: int = 8):
-    """SCRIMP++ over one long series as a Ray fan-out on the SAMPLED
+                       n_partitions: int | None = None):
+    """SCRIMP++ over one long series, fanned out over the SAMPLED
     diagonal axis.  Reproduces kernels.scrimp.scrimp_plus_plus EXACTLY
     (same seed -> same sampled diagonals; contiguous slices of the sample
-    order run per task starting from +inf partials; partials merge in
-    slice order with the serial strict-< law, so values AND indices
-    match): phase-1 PreSCRIMP runs on the driver (anchor count is
-    len/(w*step) — cheap), phase 2 is the quadratic part that fans out."""
-    import ray
-
-    from ..kernels.scrimp import prescrimp, scrimp_refine_diags
-
+    order run per task starting from +inf partials and merge in slice
+    order with the serial strict-< law, so values AND indices match):
+    phase-1 PreSCRIMP runs on the driver (anchor count is len/(w*step) —
+    cheap), phase 2 is the quadratic part that fans out."""
     if random_state is not None:
         np.random.seed(random_state)
     profile = prescrimp(ts, w, step_size=step_size, sample_pct=sample_pct,
@@ -354,29 +367,15 @@ def distributed_scrimp(ts, w: int, step_size: float = 0.25,
     compute_order = np.random.choice(compute_order, size=sample_size,
                                      replace=False)
 
-    from ..kernels.moving_stats import moving_avg_std
-
-    mu, sig = moving_avg_std(ts_arr, m)
-    shared = ray.put({"ts": ts_arr, "mu": mu, "sig": sig})
-
-    @ray.remote
-    def refine_slice(diags):
-        state = ray.get(shared)
-        mp = np.full(pl, np.inf)
-        pi = np.full(pl, -1, dtype=np.int64)
-        scrimp_refine_diags(state["ts"], m, state["mu"], state["sig"],
-                            diags, mp, pi)
-        return mp, pi
-
-    bounds = np.linspace(0, len(compute_order), n_partitions + 1).astype(int)
-    futures = [refine_slice.remote(compute_order[lo:hi])
-               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    mp, pi = profile["mp"], profile["pi"]
-    for part_mp, part_pi in ray.get(futures):  # slice order = serial order
-        better = part_mp < mp
-        mp[better] = part_mp[better]
-        pi[better] = part_pi[better]
+    if sample_size:
+        mu, sig = moving_avg_std(ts_arr, m)
+        shared = {"ts": ts_arr, "w": m, "mu": mu, "sig": sig,
+                  "order": compute_order}
+        refined = _tree_fan_out(
+            shared, lambda k: np.linspace(0, sample_size, k + 1).astype(int),
+            _scrimp_leaf, merge_scrimp_partials, n_partitions)
+        profile["mp"], profile["pi"] = merge_scrimp_partials(
+            (profile["mp"], profile["pi"]), refined)
 
     profile["algorithm"] = "scrimp++_distributed"
     profile["sample_pct"] = sample_pct

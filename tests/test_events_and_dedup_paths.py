@@ -225,6 +225,31 @@ def test_verify_jaccard_bucketed_matches_driver(ray_session):
     pd.testing.assert_frame_equal(dist, drv[dist.columns.tolist()])
 
 
+def test_verify_jaccard_bucketed_no_surviving_pair_is_typed(ray_session):
+    """A part whose only pair falls below the threshold emits an empty
+    block that still carries string doc_a/doc_b columns (an untyped empty
+    column has no type and makes Ray log a size error)."""
+    import ray.data
+
+    from matrixprofile_1_ray.stages.dedup import verify_jaccard_bucketed
+
+    seqs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(["a", "b"], pa.string()),
+        "tokens": pa.array([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]],
+                           pa.list_(pa.int64())),
+    }))
+    pairs = ray.data.from_arrow(pa.table({
+        "doc_a": pa.array(["a"], pa.string()),
+        "doc_b": pa.array(["b"], pa.string()),
+    }))
+    out = verify_jaccard_bucketed(pairs, seqs, threshold=0.5).materialize()
+    assert out.count() == 0
+    schema = out.schema()
+    types = dict(zip(schema.names, schema.types))
+    assert types["doc_a"] == pa.string()
+    assert types["doc_b"] == pa.string()
+
+
 def test_frame_sample_batch():
     from matrixprofile_1_ray.stages.multimodal import frame_sample_batch
 

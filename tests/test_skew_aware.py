@@ -67,14 +67,17 @@ def test_skew_aware_pushdown_discovery(ray_session, skew_corpus, tmp_path):
     _assert_profiles_equal(got, want)
 
 
-def test_skew_aware_tiled_route(ray_session, skew_corpus):
-    """Tail rows above tile_threshold take the SCAMP-tiled fan-out."""
+def test_skew_aware_tiled_route(ray_session, skew_corpus, monkeypatch):
+    """Tail rows above TILE_THRESHOLD take the SCAMP-tiled fan-out."""
     import ray.data
 
+    from matrixprofile_1_ray.pipelines import flagship
+
+    monkeypatch.setattr(flagship, "TILE_THRESHOLD", 2000)
+    monkeypatch.setattr(flagship, "TILE", 512)
     ds = ray.data.from_arrow(skew_corpus)
     got = _normalize(profiles_skew_aware(
-        ds, w=W, long_threshold=THRESHOLD,
-        tile_threshold=2000, tile=512).to_pandas())
+        ds, w=W, long_threshold=THRESHOLD).to_pandas())
     want = _normalize(compute_profiles_batch(skew_corpus, w=W).to_pandas())
     _assert_profiles_equal(got, want)
 

@@ -241,11 +241,12 @@ def test_distributed_scrimp_equals_serial(ray_session, sampledata):
 
     serial = scrimp_plus_plus(sampledata, 32, sample_pct=0.25,
                               random_state=99)
-    dist = distributed_scrimp(sampledata, 32, sample_pct=0.25,
-                              random_state=99, n_partitions=4)
-    np.testing.assert_array_equal(serial["mp"], dist["mp"])
-    np.testing.assert_array_equal(serial["pi"], dist["pi"])
-    assert dist["algorithm"] == "scrimp++_distributed"
+    for parts in (4, 20):
+        dist = distributed_scrimp(sampledata, 32, sample_pct=0.25,
+                                  random_state=99, n_partitions=parts)
+        np.testing.assert_array_equal(serial["mp"], dist["mp"])
+        np.testing.assert_array_equal(serial["pi"], dist["pi"])
+        assert dist["algorithm"] == "scrimp++_distributed"
 
 
 def test_run_partitioned_concurrent_jobs(ray_session, tmp_path):

@@ -52,7 +52,7 @@ def test_distributed_mpx_tie_exact(ray_session, name):
 
     ts = _tie_cases()[name]
     mp_s, pi_s = mpx_self(ts, W, False)
-    for parts in (3, 7, 16):
+    for parts in (3, 7, 16, 20):
         mp_d, pi_d = distributed_mpx(ts, W, n_partitions=parts)
         np.testing.assert_allclose(mp_d, mp_s, rtol=0, atol=0)
         np.testing.assert_array_equal(pi_d, pi_s)
@@ -133,11 +133,12 @@ def test_tiled_merge_law_keeps_closest_across_tiles():
 
 def test_exact_anticorrelation_unmatched_on_every_path():
     """corr == exactly -1.0 (exact window negation) is never recorded:
-    the walk's strict > against the -1.0 init skips it, and the matmul
-    path marks it unmatched for the same law.  ts = (-1)^j with w=16
-    makes every odd-shift pair an EXACT float -1.0 (mean 0, ssq 16, sig
-    1/4 — all dyadic), and n = w + minlag + 1 leaves window 0 exactly one
-    admissible partner, the -1.0 one."""
+    the walk's strict > against the -1.0 init skips it, and the serial
+    entry (mpx_self: the compiled batch call, or the gram-matmul fallback
+    without a compiler) marks it unmatched for the same law.
+    ts = (-1)^j with w=16 makes every odd-shift pair an EXACT float -1.0
+    (mean 0, ssq 16, sig 1/4 — all dyadic), and n = w + minlag + 1 leaves
+    window 0 exactly one admissible partner, the -1.0 one."""
     from matrixprofile_1_ray.kernels.mpx import (
         mpx_diag_range,
         mpx_precompute,
@@ -149,7 +150,7 @@ def test_exact_anticorrelation_unmatched_on_every_path():
     ts = np.array([(-1.0) ** j for j in range(n)])
     pl = n - w + 1
 
-    # matmul path (pl = 6 is far under the dispatch limit)
+    # serial entry (batch call, or matmul without a compiler)
     mp_m, pi_m = mpx_self(ts, w, True)
     np.testing.assert_array_equal(pi_m, np.full(pl, -1))
     np.testing.assert_array_equal(mp_m, np.full(pl, -1.0))
