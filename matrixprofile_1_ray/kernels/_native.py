@@ -10,8 +10,9 @@ dependency: the C source below is compiled AT IMPORT with the system gcc
 into a per-user 0700 ``~/.cache`` directory keyed by source hash and
 loaded via ctypes.
 If no compiler is present (or anything else fails) ``AVAILABLE`` is False
-and callers keep the NumPy paths (kernels/mpx.py), which remain the
-conformance baseline (tests cross-check native vs NumPy).
+and kernels/mpx.py, the only module that reads the flag, runs its NumPy
+walk instead.  So there are two self-join paths: this compiled walk, and
+the NumPy walk as fallback and conformance reference.
 
 Dispatch: whenever ``AVAILABLE`` is set, EVERY self-join takes the
 compiled path, whatever its length — ``mpx_self_batch`` does a whole
@@ -24,11 +25,12 @@ Arithmetic note: the C precompute sums each window directly (mean, then
 squared deviations, exactly zero on constant windows) and seeds every
 diagonal with an exact dot product; the C walk accumulates ``c``
 seed-first per element (the reference's update order, cympx.pyx:85-93).
-The NumPy fallback computes the same quantities in a different summation
-order (pairwise sums, cumsum-then-add-seed), so the two agree to fp
-rounding (~1e-13), far inside the golden tolerance.  The NumPy walk shares
-the tie order (ascending diagonals, column side first); the gram-matrix
-path may pick a different, exactly tied partner among repeated windows.
+The NumPy self-join walk (kernels/mpx.py) does the same sums in the same
+order, vectorized across windows instead of looped, and shares the tie
+order (ascending diagonals, column side first), so the two self-join
+paths return the same profiles bit for bit, tie indices included.  The
+NumPy AB-join pass keeps its own summation order and agrees with the
+compiled one to fp rounding (~1e-13).
 """
 
 from __future__ import annotations
@@ -196,8 +198,14 @@ def _cache_dir() -> str:
     return path
 
 
+# -O2: the walks are latency-bound scalar chains; no fast-math and no fused
+# multiply-add (gcc contracts a*b + c where the target has FMA), so every
+# sum rounds like the reference's and the NumPy walk's
+_CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+
+
 def _build() -> str:
-    tag = hashlib.sha1(_SRC.encode()).hexdigest()[:16]
+    tag = hashlib.sha1((_SRC + " ".join(_CFLAGS)).encode()).hexdigest()[:16]
     cache_dir = _cache_dir()
     so_path = os.path.join(cache_dir, f"kernels_{tag}.so")
     if os.path.exists(so_path) and os.stat(so_path).st_uid == os.getuid():
@@ -205,13 +213,11 @@ def _build() -> str:
     c_path = os.path.join(cache_dir, f"kernels_{tag}.c")
     with open(c_path, "w") as f:
         f.write(_SRC)
-    # -O2: the walks are latency-bound scalar chains; no fast-math (it
-    # would reassociate the c accumulation and drift from the reference)
     # per-pid temp name: many Ray workers may compile concurrently; the
     # final rename is atomic so every loader sees a complete .so
     tmp_path = f"{so_path}.{os.getpid()}.tmp"
     subprocess.run(
-        ["gcc", "-O2", "-shared", "-fPIC", "-o", tmp_path, c_path, "-lm"],
+        ["gcc", *_CFLAGS, "-o", tmp_path, c_path, "-lm"],
         check=True, capture_output=True, timeout=60)
     os.replace(tmp_path, so_path)
     return so_path
@@ -291,36 +297,42 @@ def mpx_precompute_native(ts, w: int):
     return seed, df, dg, sig
 
 
-def mpx_self_batch(values, offsets, out_offsets, w: int,
-                   cross_correlation: bool = False):
-    """Self-join profiles of every row of a ragged batch in one native call.
-
-    Row ``r`` is ``values[offsets[r]:offsets[r+1]]``; its profile fills
-    ``out_offsets[r]:out_offsets[r+1]`` of the returned flat ``(mp, mpi)``.
-    A row whose output segment is empty is skipped; every other segment
-    must hold exactly ``n - w + 1`` entries.  ``mp`` is ED unless
-    ``cross_correlation`` (then Pearson, -1 where unmatched)."""
+def checked_batch(values, offsets, out_offsets, w: int):
+    """``(values, offsets, out_offsets)`` of a ragged self-join batch as
+    contiguous float64 / int64, after checking that every computed row
+    lies inside ``values`` and has exactly ``n - w + 1`` output entries
+    (ValueError otherwise).  An empty output segment skips its row."""
     values = np.ascontiguousarray(values, dtype="d")
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     out_offsets = np.ascontiguousarray(out_offsets, dtype=np.int64)
-    n_rows = out_offsets.shape[0] - 1
     pl = np.diff(out_offsets)
-    # the C side trusts these bounds, so check them here (vectorized)
     if w < 1:
         raise ValueError("window must be at least 1")
-    if (offsets.shape[0] != n_rows + 1 or out_offsets[0] != 0
+    if (offsets.shape[0] != out_offsets.shape[0] or out_offsets[0] != 0
             or np.any(pl < 0)
             or np.any((pl != 0) & (pl != np.diff(offsets) - w + 1))
             or offsets.min() < 0 or offsets.max() > values.shape[0]):
         raise ValueError("each computed row needs n - w + 1 output "
                          "entries and its values inside the buffer")
+    return values, offsets, out_offsets
+
+
+def mpx_self_batch(values, offsets, out_offsets, w: int,
+                   cross_correlation: bool = False):
+    """Self-join profiles of every row of a ragged batch in one native call
+    (contract: kernels/mpx.py:mpx_self_batch).  ``mp`` is ED unless
+    ``cross_correlation`` (then Pearson, -1 where unmatched)."""
+    # the C side trusts these bounds, so check them here (vectorized)
+    values, offsets, out_offsets = checked_batch(values, offsets,
+                                                 out_offsets, w)
     total = int(out_offsets[-1])
     mp = np.empty(total)
     mpi = np.empty(total, dtype=np.int64)
     if total:
-        scratch = np.empty(5 * int(pl.max()))
+        scratch = np.empty(5 * int(np.diff(out_offsets).max()))
         _lib.mpx_self_batch(values.ctypes.data, offsets.ctypes.data,
-                            out_offsets.ctypes.data, n_rows, w,
+                            out_offsets.ctypes.data,
+                            out_offsets.shape[0] - 1, w,
                             int(bool(cross_correlation)), mp.ctypes.data,
                             mpi.ctypes.data, scratch.ctypes.data)
     return mp, mpi

@@ -31,16 +31,11 @@ from .moving_stats import muinvn
 # golden tolerance of 1e-4 once scaled by 1/(w*sigma^2)).
 _EXACT_SDP_LIMIT = 1 << 25
 
-# Self-join dispatch: with the compiled kernels available (kernels/_native.py)
-# every self-join, whatever its length, runs natively — mpx_self through the
-# one-call batch entry, the diagonal fan-out through the same C precompute
-# and walk, so serial and fanned-out profiles agree bit for bit, ties
-# included.  The NumPy paths below are the no-compiler fallback only: there,
-# profiles up to this length use one BLAS gram-matrix (z-normalized windows
-# @ transpose) — ~3x faster than the NumPy diagonal walk on short rows
-# (measured crossover ~pl=700; beyond it the pl^2 matrix falls out of cache
-# and the per-diagonal cumsum walk wins).
-_MATMUL_PL_LIMIT = 700
+# Self-join dispatch lives in this module only: with the compiled kernels
+# (kernels/_native.py) every self-join runs the compiled walk — one call per
+# batch in mpx_self_batch, the same C precompute for the diagonal fan-out;
+# without a compiler the NumPy walk below runs, doing the same sums in the
+# same order, so both paths return the same bits, tie indices included.
 
 # Correlations within this margin of 1 snap to exactly 1 (distance 0) in
 # BOTH the direct (mpx_ab) and tiled (tiled_mpx_ab) AB joins.  It must be
@@ -90,24 +85,36 @@ def mpx_self(ts, w: int, cross_correlation: bool = False):
     n = ts.shape[0]
     if w > n:
         raise ValueError("window larger than series")
-    pl = n - w + 1
+    return mpx_self_batch(ts, np.array([0, n]), np.array([0, n - w + 1]), w,
+                          cross_correlation)
+
+
+def mpx_self_batch(values, offsets, out_offsets, w: int,
+                   cross_correlation: bool = False):
+    """Self-join profiles of every row of a ragged batch; returns the flat
+    ``(mp, mpi)``.
+
+    Row ``r`` is ``values[offsets[r]:offsets[r+1]]``; its profile fills
+    ``out_offsets[r]:out_offsets[r+1]``.  A row whose output segment is
+    empty is skipped; every other segment must hold exactly ``n - w + 1``
+    entries (ValueError otherwise).  One compiled call when a compiler is
+    present, else the NumPy walk row by row."""
     if _native.AVAILABLE:
-        return _native.mpx_self_batch(ts, np.array([0, n]), np.array([0, pl]),
-                                      w, cross_correlation)
-
-    if pl <= _MATMUL_PL_LIMIT:
-        mu, sig = muinvn(ts, w)
-        return _mpx_self_matmul(ts, w, pl, int(math.ceil(w / 4.0)), mu, sig,
-                                cross_correlation)
-
-    seed, df, dg, sig, minlag = mpx_precompute(ts, w)
-    mp = np.full(pl, -1.0)
-    mpi = np.full(pl, -1, dtype=np.int64)
-    mpx_diag_range(minlag + 1, pl, seed, df, dg, sig, mp, mpi)
-
+        return _native.mpx_self_batch(values, offsets, out_offsets, w,
+                                      cross_correlation)
+    values, offsets, out_offsets = _native.checked_batch(
+        values, offsets, out_offsets, w)
+    mp = np.full(int(out_offsets[-1]), -1.0)
+    mpi = np.full(mp.shape[0], -1, dtype=np.int64)
+    for r in np.flatnonzero(np.diff(out_offsets)):
+        lo, hi = out_offsets[r], out_offsets[r + 1]
+        seed, df, dg, sig, minlag = mpx_precompute(
+            values[offsets[r]:offsets[r + 1]], w)
+        mpx_diag_range(minlag + 1, hi - lo, seed, df, dg, sig, mp[lo:hi],
+                       mpi[lo:hi])
     np.minimum(mp, 1.0, out=mp)  # final merge clamp (cympx.pyx:104-112)
     if not cross_correlation:
-        mp = np.sqrt(2.0 * w * (1.0 - mp))
+        np.sqrt(2.0 * w * (1.0 - mp), out=mp)
     return mp, mpi
 
 
@@ -132,14 +139,13 @@ def mpx_diag_range(d_lo: int, d_hi: int, seed, df, dg, sig, mp, mpi):
         L = pl - diag
         if L <= 0:
             break
-        # c[j] along the diagonal via cumsum of the streaming update terms
+        # c[j] along the diagonal via cumsum of the seed and the streaming
+        # update terms — seed first, the C walk's order, bit for bit
         c = c_buf[:L]
         c[0] = seed[diag]
-        if L > 1:
-            upd = np.multiply(df[1:L], dg[diag + 1 : diag + L], out=u_buf[: L - 1])
-            upd += df[diag + 1 : diag + L] * dg[1:L]
-            np.cumsum(upd, out=c[1:])
-            c[1:] += seed[diag]
+        upd = np.multiply(df[1:L], dg[diag + 1 : diag + L], out=c[1:])
+        upd += df[diag + 1 : diag + L] * dg[1:L]
+        np.cumsum(c, out=c)
         corr = c
         corr *= sig[:L]
         corr *= sig[diag:]
@@ -165,17 +171,32 @@ def mpx_diag_range(d_lo: int, d_hi: int, seed, df, dg, sig, mp, mpi):
 
 def mpx_precompute(ts, w: int):
     """Shared per-series state for diagonal-partitioned execution:
-    (seed, df, dg, sig, minlag).  Built by the same code as mpx_self's on
-    either path (C precompute, or NumPy when no compiler is present), so
-    a fanned-out walk reproduces the serial profile exactly."""
+    (seed, df, dg, sig, minlag).  Built by the same arithmetic as
+    mpx_self's on either path (the C precompute, or the same sums in the
+    same order in NumPy when no compiler is present), so a fanned-out walk
+    reproduces the serial profile exactly."""
     ts = np.ascontiguousarray(ts, dtype="d")
     minlag = int(math.ceil(w / 4.0))
     if _native.AVAILABLE:
         return (*_native.mpx_precompute_native(ts, w), minlag)
-    mu, sig = muinvn(ts, w)
+    # vectorized over windows, summed in offset order like the C loops:
+    # window mean, squared deviations (exactly 0 on a constant window),
+    # and the exact covariance against window 0 seeding each diagonal
+    pl = ts.shape[0] - w + 1
+    cols = [ts[k:k + pl] for k in range(w)]
+    mu = sum(cols, np.zeros(pl)) / w
+    ssq = np.zeros(pl)
+    constant = np.ones(pl, dtype=bool)
+    for x in cols:
+        dev = x - mu
+        ssq += dev * dev
+        constant &= x == cols[0]
+    ssq[constant] = 0.0
+    sig = np.zeros(pl)
+    np.divide(1.0, np.sqrt(ssq), out=sig, where=ssq > 0)
     df, dg = _diff_eqs(ts, mu, w)
-    # covariance of every window against window 0 seeds each diagonal
-    seed = _seed_products(ts, ts[:w]) - w * mu * mu[0]
+    seed = sum((x * ts[k] for k, x in enumerate(cols)), np.zeros(pl))
+    seed -= (w * mu) * mu[0]
     return seed, df, dg, sig, minlag
 
 
@@ -187,43 +208,6 @@ def merge_pearson_partials(left, right):
     better = right[0] > left[0]
     return (np.where(better, right[0], left[0]),
             np.where(better, right[1], left[1]))
-
-
-def _mpx_self_matmul(ts, w, pl, minlag, mu, sig, cross_correlation):
-    """Gram-matrix formulation: corr[i,j] = <z_i, z_j> over z-normalized
-    windows — identical quantities to the diagonal walk (different fp
-    summation order; tie-breaks on exactly-equal correlations may pick a
-    different but equally-near neighbor)."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    Z = (sliding_window_view(ts, w) - mu[:, None]) * sig[:, None]
-    corr = Z @ Z.T
-    # exclusion band via diagonal fills (no pl^2 index materialization)
-    np.fill_diagonal(corr, -np.inf)
-    for d in range(1, minlag + 1):
-        np.fill_diagonal(corr[d:], -np.inf)
-        np.fill_diagonal(corr[:, d:], -np.inf)
-
-    mp = np.max(corr, axis=1)
-    mpi = np.argmax(corr, axis=1).astype(np.int64)
-    # ties (exactly-equal correlations are common in token streams) break
-    # like the ascending-diagonal walk: nearest neighbor first, then the
-    # earlier (column-side) index — matches cympx.pyx's update order
-    ties = corr == mp[:, None]
-    for i in np.flatnonzero(ties.sum(axis=1) > 1):
-        js = np.flatnonzero(ties[i])
-        order = np.lexsort((js, np.abs(js - i)))
-        mpi[i] = js[order[0]]
-    # corr == exactly -1.0 (exact window negation) counts as unmatched: the
-    # diagonal walk's strict > against the -1.0 init never records it, so
-    # argmax keeping a partner here would diverge between the two paths
-    unmatched = np.isinf(mp) | (mp == -1.0)
-    mp[unmatched] = -1.0
-    mpi[unmatched] = -1
-    np.minimum(mp, 1.0, out=mp)
-    if not cross_correlation:
-        mp = np.sqrt(2.0 * w * (1.0 - mp))
-    return mp, mpi.astype(np.int64)
 
 
 def _ab_one_side(seed, df_a, dg_a, df_b, dg_b, sig_a, sig_b, mp_a, mpi_a, mp_b, mpi_b,
@@ -403,8 +387,7 @@ def merge_tile_partial(mp, mpi, lo, hi, part_mp, part_mpi, other_lo,
         # Exact: a partial can never carry a GENUINE corr of -1.0 with a
         # valid index — every producer (diag walk, native walk, tile pass)
         # updates with strict > against the -1.0 init, so vals == -1.0
-        # always means unmatched (and the matmul path, which argmax WOULD
-        # record such a partner, marks it unmatched for the same law)
+        # always means unmatched
         tie = (vals == cur_mp) & (vals > -1.0)
         if tie.any():
             cur_pi = mpi[seg]

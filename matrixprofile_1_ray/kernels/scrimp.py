@@ -32,9 +32,11 @@ def _anchor_distance_profiles(windows, anchors, m, mux, sigx):
     sumy2 = (Q ** 2).sum(axis=1)
     meany = sumy / m
     sigmay = np.sqrt(sumy2 / m - meany ** 2)
-    dist = np.real(
-        2 * (m - (prods.T - m * mux[None, :] * meany[:, None])
-             / (sigx[None, :] * sigmay[:, None])))
+    # constant windows (sigma 0) give the reference's NaN/inf entries
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.real(
+            2 * (m - (prods.T - m * mux[None, :] * meany[:, None])
+                 / (sigx[None, :] * sigmay[:, None])))
     return np.sqrt(np.absolute(dist))
 
 
@@ -275,7 +277,9 @@ def scrimp_refine_diags(ts, m, mu, sig, diag_order, mp, pi):
         np.multiply(mu[idx:], mu[:L], out=cd)
         cd *= m
         np.subtract(curlastz[idx:pl], cd, out=cd)
-        cd /= sig[idx:] * sig[:L]
+        # constant windows give NaN, as in the reference
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cd /= sig[idx:] * sig[:L]
         np.subtract(m, cd, out=cd)
         cd *= 2
         np.abs(cd, out=cd)

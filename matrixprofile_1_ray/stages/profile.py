@@ -19,8 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.tokenize import list_column_to_numpy, numpy_to_list_column
-from ..kernels import _native
-from ..kernels.mpx import mpx_self
+from ..kernels.mpx import mpx_self, mpx_self_batch
 
 
 # canonical definitions live in stages/slice_rule.py with the rest of the
@@ -65,18 +64,18 @@ def compute_profiles_batch(batch: pa.Table, w: int = 32,
 
     lr_parts: dict[str, list[np.ndarray]] = {k: [] for k in
                                              ("lmp", "lpi", "rmp", "rpi")}
-    if algorithm == "mpx" and _native.AVAILABLE:
-        # the whole batch in one compiled call: no per-row NumPy work
+    if algorithm == "mpx":
+        # the whole batch in one kernel call
         n_tok = np.diff(offsets)
         valid = n_tok >= 2 * w
         out_offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.where(valid, n_tok - w + 1, 0), out=out_offsets[1:])
-        flat_mp, flat_pi = _native.mpx_self_batch(
+        flat_mp, flat_pi = mpx_self_batch(
             values, offsets, out_offsets, w, cross_correlation)
     else:
         flat_mp, flat_pi, out_offsets, valid = _profiles_per_row(
-            batch, values, offsets, w, algorithm, cross_correlation,
-            sample_pct, lr_parts if keep_lr else None)
+            batch, values, offsets, w, algorithm, sample_pct,
+            lr_parts if keep_lr else None)
 
     # numpy_to_list_column falls back to large_list past int32 — a raw
     # astype(int32) would silently wrap offsets for a batch of ~10M-token
@@ -108,10 +107,10 @@ def compute_profiles_batch(batch: pa.Table, w: int = 32,
     return pa.table(cols)
 
 
-def _profiles_per_row(batch, values, offsets, w, algorithm, cross_correlation,
-                      sample_pct, lr_parts):
-    """Row-by-row kernel calls of compute_profiles_batch; ``lr_parts``
-    collects STOMP's left/right profiles when given."""
+def _profiles_per_row(batch, values, offsets, w, algorithm, sample_pct,
+                      lr_parts):
+    """Row-by-row STOMP / SCRIMP++ calls of compute_profiles_batch;
+    ``lr_parts`` collects STOMP's left/right profiles when given."""
     n_rows = len(batch)
     mp_parts: list[np.ndarray] = []
     pi_parts: list[np.ndarray] = []
@@ -121,9 +120,7 @@ def _profiles_per_row(batch, values, offsets, w, algorithm, cross_correlation,
     for i in range(n_rows):
         ts = values[offsets[i] : offsets[i + 1]].astype("d")
         if ts.shape[0] >= 2 * w:
-            if algorithm == "mpx":
-                mp, pi = mpx_self(ts, w, cross_correlation)
-            elif algorithm == "stomp":
+            if algorithm == "stomp":
                 prof = stomp(ts, w)
                 mp, pi = prof["mp"], prof["pi"]
                 if lr_parts is not None:

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,21 @@ def golden(name):
 @pytest.fixture(scope="session")
 def sampledata():
     return golden("sampledata.txt")
+
+
+@pytest.fixture(params=["compiled", "gccless"])
+def self_join_path(request, monkeypatch):
+    """Runs a test once on each self-join path: the compiled walk (skipped
+    without a C compiler) and the NumPy walk, forced by switching the
+    compiled kernels off."""
+    import matrixprofile_1_ray.kernels._native  # noqa: F401
+
+    native = sys.modules["matrixprofile_1_ray.kernels._native"]
+    if request.param == "compiled" and not native.AVAILABLE:
+        pytest.skip("no C compiler in this runtime")
+    if request.param == "gccless":
+        monkeypatch.setattr(native, "AVAILABLE", False)
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,7 @@
 (``kernels._native.mpx_self_batch``, reached through
 ``stages.profile.compute_profiles_batch``) against per-row ``mpx_self``
 (bit for bit: both run the same C code) and against the gcc-less NumPy
-path (to accumulation-order tolerance; neighbor indices equal or exactly
-tied)."""
+walk (bit for bit too, tie indices included: it sums in the C order)."""
 
 import sys
 
@@ -17,6 +16,7 @@ from matrixprofile_1_ray.kernels.mpx import (
     mpx_diag_range,
     mpx_precompute,
     mpx_self,
+    mpx_self_batch,
 )
 from matrixprofile_1_ray.stages.profile import compute_profiles_batch
 
@@ -101,33 +101,10 @@ def _check(monkeypatch, table, cross_correlation=False):
     r_mp, r_pi, r_off, r_valid = _flat(ref)
     np.testing.assert_array_equal(valid, r_valid)
     np.testing.assert_array_equal(off, r_off)
-    # different summation orders differ by ~1e-15 in corr, which the ED
-    # conversion sqrt(2w(1-corr)) amplifies to ~1e-7 next to exact matches
-    tol = 1e-12 if cross_correlation else 1e-6
-    np.testing.assert_allclose(mp, r_mp, rtol=0, atol=tol)
-    _assert_lawful_ties(table, off, mp, pi, r_pi, cross_correlation, tol)
+    # the NumPy walk sums in the C walk's order: equal bit for bit
+    np.testing.assert_array_equal(mp, r_mp)
+    np.testing.assert_array_equal(pi, r_pi)
     return got
-
-
-def _assert_lawful_ties(table, out_off, mp, pi, other_pi, cross_correlation,
-                        tol):
-    """Where two paths pick different neighbors, the other neighbor must
-    be an exact tie: its directly computed distance equals the profile
-    value.  (On exactly repeated windows the gcc-less gram matrix rounds
-    corr to 1 +- ulp and picks among the repeats by rounding, not by the
-    walk's closest-partner law.)"""
-    values, offsets = list_column_to_numpy(table["tokens"])
-    for r in range(len(table)):
-        a, b = out_off[r], out_off[r + 1]
-        ts = values[offsets[r]:offsets[r + 1]].astype("d")
-        for k in np.flatnonzero(pi[a:b] != other_pi[a:b]):
-            j = other_pi[a + k]
-            x, y = ts[k:k + W], ts[j:j + W]
-            sx, sy = x.std(), y.std()
-            corr = 0.0 if sx == 0 or sy == 0 else min(1.0, np.dot(
-                (x - x.mean()) / sx, (y - y.mean()) / sy) / W)
-            want = corr if cross_correlation else np.sqrt(2.0 * W * (1 - corr))
-            assert abs(want - mp[a + k]) <= tol, (r, k, j)
 
 
 @pytest.mark.parametrize("value_type", [pa.int32(), pa.float64()])
@@ -189,19 +166,27 @@ def test_precompute_walk_reproduces_mpx_self_exactly(float_tokens):
         np.testing.assert_array_equal(pi, want_pi)
 
 
-def test_batch_entry_rejects_inconsistent_offsets():
-    """The C side trusts its bounds; the wrapper must refuse bad ones."""
+def test_batch_entry_rejects_inconsistent_offsets(monkeypatch):
+    """The C side trusts its bounds; the wrapper must refuse bad ones, and
+    the gcc-less batch entry refuses the same ones."""
+    _check_batch_bounds(_native.mpx_self_batch)
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules["matrixprofile_1_ray.kernels._native"],
+                  "AVAILABLE", False)
+        _check_batch_bounds(mpx_self_batch)
+
+
+def _check_batch_bounds(batch_entry):
     values = np.arange(100, dtype="d")
     offsets = np.array([0, 60, 100])
     with pytest.raises(ValueError):      # 40 != 60 - 16 + 1
-        _native.mpx_self_batch(values, offsets, np.array([0, 40, 40]), W)
+        batch_entry(values, offsets, np.array([0, 40, 40]), W)
     with pytest.raises(ValueError):      # row past the end of values
-        _native.mpx_self_batch(values, np.array([0, 60, 120]),
-                               np.array([0, 45, 90]), W)
+        batch_entry(values, np.array([0, 60, 120]), np.array([0, 45, 90]), W)
     with pytest.raises(ValueError):
-        _native.mpx_self_batch(values, offsets, np.array([0, 60, 100]), 0)
-    mp, pi = _native.mpx_self_batch(values, offsets, np.array([0, 45, 70]), W)
+        batch_entry(values, offsets, np.array([0, 60, 100]), 0)
+    mp, pi = batch_entry(values, offsets, np.array([0, 45, 70]), W)
     assert mp.shape == pi.shape == (70,)
     # an empty output segment skips its row
-    mp, pi = _native.mpx_self_batch(values, offsets, np.array([0, 0, 25]), W)
+    mp, pi = batch_entry(values, offsets, np.array([0, 0, 25]), W)
     np.testing.assert_array_equal(pi, mpx_self(values[60:], W)[1])

@@ -8,7 +8,7 @@ from matrixprofile_1_ray.kernels.mpx import mpx_ab, mpx_self
 from tests.conftest import golden
 
 
-def test_self_join_euclidean_tiny():
+def test_self_join_euclidean_tiny(self_join_path):
     ts = np.array([0, 1, 1, 1, 0, 0, 2, 1, 0, 0, 2, 1])
     profile = mpx(ts, 4)
     np.testing.assert_almost_equal(
@@ -17,7 +17,7 @@ def test_self_join_euclidean_tiny():
     np.testing.assert_array_equal(profile["pi"], [4, 5, 6, 7, 8, 1, 2, 3, 4])
 
 
-def test_self_join_pearson_tiny():
+def test_self_join_pearson_tiny(self_join_path):
     ts = np.array([0, 1, 1, 1, 0, 0, 2, 1, 0, 0, 2, 1])
     profile = mpx(ts, 4, cross_correlation=True)
     np.testing.assert_almost_equal(
@@ -42,7 +42,7 @@ def test_similarity_join_tiny():
         profile["pi"], [0, 1, 4, 1, 1, 1, 2, 1, 4, 2, 1, 2, 3, 4, 2, 1, 3])
 
 
-def test_self_join_matlab(sampledata):
+def test_self_join_matlab(sampledata, self_join_path):
     mp, mpi = mpx_self(sampledata, 32)
     np.testing.assert_almost_equal(golden("mpx_mp.txt"), mp, decimal=4)
 

@@ -201,9 +201,9 @@ def test_stomp_partition_invariance_random_nan_patterns(seed):
 
 
 def test_native_dispatch_crossover_agrees_with_numpy_walk(monkeypatch):
-    """pl above the gcc-less matmul limit: the native self-join must agree
-    with the NumPy fallback walk to accumulation-order tolerance (~1e-13)
-    with identical neighbor indices on generic data."""
+    """Long rows (pl 729-1469): the native self-join must agree with the
+    NumPy fallback walk to accumulation-order tolerance (~1e-13) with
+    identical neighbor indices on generic data."""
     import importlib
 
     M = importlib.import_module("matrixprofile_1_ray.kernels.mpx")

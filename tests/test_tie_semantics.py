@@ -131,11 +131,11 @@ def test_tiled_merge_law_keeps_closest_across_tiles():
     assert mpiu[0] == -1 and mpu[0] == -1.0
 
 
-def test_exact_anticorrelation_unmatched_on_every_path():
+def test_exact_anticorrelation_unmatched_on_every_path(self_join_path):
     """corr == exactly -1.0 (exact window negation) is never recorded:
-    the walk's strict > against the -1.0 init skips it, and the serial
-    entry (mpx_self: the compiled batch call, or the gram-matmul fallback
-    without a compiler) marks it unmatched for the same law.
+    the walk's strict > against the -1.0 init skips it, on the compiled
+    walk and on the NumPy walk alike, through the serial entry (mpx_self)
+    and through a direct diagonal walk.
     ts = (-1)^j with w=16 makes every odd-shift pair an EXACT float -1.0
     (mean 0, ssq 16, sig 1/4 — all dyadic), and n = w + minlag + 1 leaves
     window 0 exactly one admissible partner, the -1.0 one."""
@@ -150,7 +150,7 @@ def test_exact_anticorrelation_unmatched_on_every_path():
     ts = np.array([(-1.0) ** j for j in range(n)])
     pl = n - w + 1
 
-    # serial entry (batch call, or matmul without a compiler)
+    # serial entry (the batch call on one row)
     mp_m, pi_m = mpx_self(ts, w, True)
     np.testing.assert_array_equal(pi_m, np.full(pl, -1))
     np.testing.assert_array_equal(mp_m, np.full(pl, -1.0))
