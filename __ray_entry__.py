@@ -121,8 +121,8 @@ def _rollup_query(tier: str):
 
 
 def entry() -> Any:
-    """Flagship pipeline on sf0.001: sequences -> gap-fill -> codec
-    round-trip check -> token tier rollups (raw->1m->1h->1d)."""
+    """Flagship pipeline on sf0.001: sequences -> gap-fill -> token tier
+    rollups (raw->1m->1h->1d)."""
     from matrixprofile_1_ray.pipelines.flagship import token_rollup_pipeline
 
     return token_rollup_pipeline("/root/testdata/sf0.001")
@@ -159,7 +159,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def seq_stage(fn, **kwargs):
         def run(sf_dir: str):
-            ds = sequences_pipeline(sf_dir, verify_codec=False)
+            ds = sequences_pipeline(sf_dir)
             return ds.map_batches(lambda b: fn(b, **kwargs),
                                   batch_format="pyarrow")
         return run
@@ -285,18 +285,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return out.map_batches(cast_cid, batch_format="pyarrow")
 
     def dedup_query(sf_dir: str):
-        return exact_dedup(sequences_pipeline(sf_dir, verify_codec=False))
+        return exact_dedup(sequences_pipeline(sf_dir))
 
     def minhash_query(sf_dir: str):
         from matrixprofile_1_ray.stages.dedup import minhash_candidates
 
-        return minhash_candidates(sequences_pipeline(sf_dir, verify_codec=False))
+        return minhash_candidates(sequences_pipeline(sf_dir))
 
     def dedup_groups_query(sf_dir: str):
         from matrixprofile_1_ray.stages.dedup import dedup_groups, minhash_candidates
 
         return dedup_groups(
-            minhash_candidates(sequences_pipeline(sf_dir, verify_codec=False)))
+            minhash_candidates(sequences_pipeline(sf_dir)))
 
     def jaccard_verified_query(sf_dir: str):
         """LSH candidates -> exact n-gram Jaccard >= 0.8, the full verify
@@ -315,7 +315,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # than materializing the whole tokenized corpus in the object
         # store between passes (the verify side additionally prunes to
         # candidate docs before shingling)
-        seqs = sequences_pipeline(sf_dir, verify_codec=False)
+        seqs = sequences_pipeline(sf_dir)
         return verify_jaccard_bucketed(minhash_candidates(seqs), seqs,
                                        k=5, threshold=0.8)
 
@@ -419,18 +419,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
                        for i in range(n_docs)]
 
     def pmp_query(sf_dir: str):
-        return pmp_stage(sequences_pipeline(sf_dir, verify_codec=False),
+        return pmp_stage(sequences_pipeline(sf_dir),
                          windows=[16, 32, 64])
 
     def pick_mp_query(sf_dir: str):
         return pick_mp_stage(pmp_query(sf_dir), 32)
 
     def snippets_query(sf_dir: str):
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             lambda b: snippets_batch(b, snippet_size=64), batch_format="pyarrow")
 
     def maxsubseq_query(sf_dir: str):
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             maximum_subsequence_batch, batch_format="pyarrow")
 
     def corrected_query(sf_dir: str):
@@ -469,33 +469,33 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def ab_join_query(sf_dir: str):
         _table, (q,) = first_doc_tokens(sf_dir)
-        return ab_join_stage(sequences_pipeline(sf_dir, verify_codec=False),
+        return ab_join_stage(sequences_pipeline(sf_dir),
                              q, w=16)
 
     def mass_search_query(sf_dir: str):
         _table, (q,) = first_doc_tokens(sf_dir)
         return mass_search_stage(
-            sequences_pipeline(sf_dir, verify_codec=False), q[:16], k=2)
+            sequences_pipeline(sf_dir), q[:16], k=2)
 
     def mp_small_query(sf_dir: str):
         """Bounded-slice exploded profile rows — the driver-visible ORACLE
         for the MP kernel (DuckDB brute-forces the z-norm ED self-join)."""
         from matrixprofile_1_ray.stages.profile import mp_rows_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             mp_rows_small_batch, batch_format="pyarrow")
 
     def mp_discords_small_query(sf_dir: str):
         from matrixprofile_1_ray.stages.profile import mp_discord_top1_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             mp_discord_top1_batch, batch_format="pyarrow")
 
     def mp_algo_small_query(algorithm: str):
         from matrixprofile_1_ray.stages.profile import mp_rows_small_batch
 
         def run(sf_dir: str):
-            return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+            return sequences_pipeline(sf_dir).map_batches(
                 lambda b: mp_rows_small_batch(b, algorithm=algorithm),
                 batch_format="pyarrow")
 
@@ -509,7 +509,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         _qd, qts = pick_oracle_query_doc(sf_dir)
         q = qts[:16]
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             lambda b: mass_topk_rows_batch(b, q, k=2), batch_format="pyarrow")
 
     def ab_small_query(sf_dir: str):
@@ -520,7 +520,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         _qd, qts = pick_oracle_query_doc(sf_dir)
         q = qts[:80]
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             lambda b: ab_profile_rows_batch(b, q, w=16),
             batch_format="pyarrow")
 
@@ -538,7 +538,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     1, "w", pa.array(np.full(len(t), w, np.int64))))
             return pa.concat_tables(parts)
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             both, batch_format="pyarrow")
 
     _RETENTION_COLS = ["doc_id", "source", "tier", "bucket", "t_min",
@@ -664,7 +664,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         SQL-replayable."""
         from matrixprofile_1_ray.stages.profile import pmp_discord_rows_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             pmp_discord_rows_batch, batch_format="pyarrow")
 
     def corrected_small_query(sf_dir: str):
@@ -672,37 +672,37 @@ def queries() -> dict[str, Callable[[str], Any]]:
             corrected_small_rows_batch,
         )
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             corrected_small_rows_batch, batch_format="pyarrow")
 
     def motifs_small_query(sf_dir: str):
         from matrixprofile_1_ray.stages.profile import motifs_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             motifs_small_batch, batch_format="pyarrow")
 
     def snippets_small_query(sf_dir: str):
         from matrixprofile_1_ray.stages.summarize import snippets_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             snippets_small_batch, batch_format="pyarrow")
 
     def regimes_small_query(sf_dir: str):
         from matrixprofile_1_ray.stages.profile import regimes_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             regimes_small_batch, batch_format="pyarrow")
 
     def mpdist_vector_small_query(sf_dir: str):
         from matrixprofile_1_ray.stages.pairs import mpdist_vector_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             mpdist_vector_small_batch, batch_format="pyarrow")
 
     def mp_rollup_small_query(sf_dir: str):
         from matrixprofile_1_ray.stages.profile import mp_rollup_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             mp_rollup_small_batch, batch_format="pyarrow")
 
     def corpus_discords_small_query(sf_dir: str):
@@ -711,7 +711,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         rounded per-doc discords so the global ordering is oracle-exact."""
         from matrixprofile_1_ray.stages.profile import mp_discord_top1_batch
 
-        ds = sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        ds = sequences_pipeline(sf_dir).map_batches(
             mp_discord_top1_batch, batch_format="pyarrow")
         return (ds.sort(["discord_dist", "doc_id"], descending=[True, False])
                 .limit(10))
@@ -725,7 +725,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             corpus_motifs_small_batch,
         )
 
-        ds = sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        ds = sequences_pipeline(sf_dir).map_batches(
             corpus_motifs_small_batch, batch_format="pyarrow")
         return (ds.sort(["motif_dist", "doc_id"],
                         descending=[False, False]).limit(10))
@@ -751,7 +751,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         oracle is the w=32 half of the pmp_small brute force."""
         from matrixprofile_1_ray.stages.profile import pick_mp_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             pick_mp_small_batch, batch_format="pyarrow")
 
     def hclust_small_query(sf_dir: str):
@@ -798,11 +798,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         corr-max probes."""
         from matrixprofile_1_ray.stages.pmp import maxsubseq_small_batch
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             maxsubseq_small_batch, batch_format="pyarrow")
 
     def chunked_rollup_query(sf_dir: str):
-        ds = sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        ds = sequences_pipeline(sf_dir).map_batches(
             lambda b: chunk_sequences_batch(b, chunk_tokens=97),
             batch_format="pyarrow")
         return chunked_rollup(ds, tiers={"1m": 60})
@@ -1049,7 +1049,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                ("offset", pa.int64()),
                                ("mpdist", pa.float64())], parts)
 
-        return sequences_pipeline(sf_dir, verify_codec=False).map_batches(
+        return sequences_pipeline(sf_dir).map_batches(
             per_row, batch_format="pyarrow")
 
     def pmp_discover_query(sf_dir: str):
@@ -1061,7 +1061,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from matrixprofile_1_ray.stages.pmp import assemble_pmp
 
         windows = [16, 32]
-        pmp_ds = pmp_stage(sequences_pipeline(sf_dir, verify_codec=False),
+        pmp_ds = pmp_stage(sequences_pipeline(sf_dir),
                            windows=windows)
 
         def discover(batch: pa.Table) -> pa.Table:
@@ -1131,13 +1131,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_exact": dedup_query,
         "events_rollup_hourly": events_rollup,
         "per_source_stats": lambda sf: per_source_stats(
-            sequences_pipeline(sf, verify_codec=False)),
+            sequences_pipeline(sf)),
         "per_source_distinct_tokens": lambda sf: per_source_distinct_tokens(
-            sequences_pipeline(sf, verify_codec=False)),
+            sequences_pipeline(sf)),
         "per_source_token_quantiles": lambda sf: per_source_token_quantiles(
-            sequences_pipeline(sf, verify_codec=False)),
+            sequences_pipeline(sf)),
         "ngram_top50": lambda sf: ngram_top_k(
-            sequences_pipeline(sf, verify_codec=False), n=3, k=50),
+            sequences_pipeline(sf), n=3, k=50),
         # matrix-profile operators (rows-only checks)
         "mp_profiles": profiles_scalar,
         "mp_profiles_stomp": lambda sf: profiles_pipeline(

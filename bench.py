@@ -149,6 +149,7 @@ def run_bench() -> dict:
         token_rollup_pipeline,
     )
     from matrixprofile_1_ray.stages.ann import brute_force_topk
+    from matrixprofile_1_ray.stages.codec_stage import verify_roundtrip_batch
     from matrixprofile_1_ray.stages.dedup import minhash_candidates
     from matrixprofile_1_ray.stages.discover_stage import corpus_top_discords
     from matrixprofile_1_ray.stages.profile import compute_profiles_batch
@@ -178,7 +179,8 @@ def run_bench() -> dict:
 
     # 3. codec round-trip (gap-fill + compress + verify every row)
     timed("codec_verify",
-          lambda: sequences_pipeline(SF_DIR, verify_codec=True).count())
+          lambda: sequences_pipeline(SF_DIR).map_batches(
+              verify_roundtrip_batch, batch_format="pyarrow").count())
 
     # 4. synthetic tokenized corpus: profiles + rollups at sequence scale.
     # ONE pipeline definition for both scale points — if they drifted, the
@@ -206,7 +208,7 @@ def run_bench() -> dict:
     # 6. MinHash-LSH near-dup
     timed("dedup_minhash",
           lambda: minhash_candidates(
-              sequences_pipeline(SF_DIR, verify_codec=False)).count())
+              sequences_pipeline(SF_DIR)).count())
 
     # 7. reference headline point: one MPX self-join at n=32768, w=32
     # (reference: 1.555 s single core, 0.816 s with 4 OpenMP threads) —

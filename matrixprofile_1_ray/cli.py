@@ -39,7 +39,6 @@ def cmd_rollup(args):
     import ray.data
 
     from .pipelines.flagship import flagship_batch
-    from .stages.codec_stage import verify_roundtrip_batch
     from .stages.gapfill import gapfill_batch
     from .state.manifest import file_fingerprint, run_partitioned
 
@@ -94,9 +93,6 @@ def cmd_rollup(args):
             ds = ds.repartition(args.num_cpus * 2)
         ds = ds.map_batches(lambda b: gapfill_batch(b, mode=args.gapfill),
                             batch_format="pyarrow")
-        if args.verify_codec:
-            ds = ds.map_batches(verify_roundtrip_batch, batch_format="pyarrow")
-            ds = ds.drop_columns(["tokens_enc"])
         thr = args.long_threshold
 
         def fused(b):
@@ -317,12 +313,6 @@ def main(argv=None):
     p.add_argument("--output", required=True)
     p.add_argument("--window", type=int, default=32)
     p.add_argument("--gapfill", default="forward_fill")
-    p.add_argument("--verify-codec", dest="verify_codec",
-                   action="store_true", default=True,
-                   help="per-batch codec round-trip check (default on)")
-    p.add_argument("--no-verify-codec", dest="verify_codec",
-                   action="store_false",
-                   help="skip the codec round-trip check")
     p.add_argument("--partitions", type=int, default=8,
                    help="target number of resume partitions")
     p.add_argument("--files-per-partition", type=int, default=None)

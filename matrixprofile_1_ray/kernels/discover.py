@@ -250,7 +250,8 @@ def fluss(profile):
     nnmark -= np.bincount(large, minlength=n + 1)
     cross_count = np.cumsum(nnmark[:n])
 
-    cac = cross_count / idealized_arc_curve(n, idx)
+    with np.errstate(divide="ignore", invalid="ignore"):  # arc is 0 at idx 0
+        cac = cross_count / idealized_arc_curve(n, idx)
     cac[cac > 1] = 1
     cac[:w] = 1
     cac[-w:] = 1

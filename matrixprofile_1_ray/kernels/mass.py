@@ -64,6 +64,7 @@ def apply_exclusion_zone(exclusion_zone, is_join, window_size, data_length, inde
     return dp
 
 
+@np.errstate(invalid="ignore")  # rho > 1 or inf -> NaN, as the reference
 def pearson_to_euclidean(a, windows):
     """sqrt(2w(1-rho)) row-wise; inf entries stay inf in the 2-D case
     (reference core.py:590-622)."""

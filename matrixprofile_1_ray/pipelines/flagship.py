@@ -1,74 +1,65 @@
-"""Flagship pipeline: sequences -> gap-fill -> compress(+verify) ->
-matrix profiles -> retention-tier rollups.
+"""Flagship pipeline: sequences -> gap-fill -> matrix profiles ->
+retention-tier rollups.
 
 All stages are streaming ``map_batches`` over Arrow batches; nothing
 materializes the corpus.  At 100 TB the same graph holds: the read prunes
 columns, every transform is per-row so blocks flow independently, and the
 only all-to-all steps live in the optional corpus-level top-k and the
-chunked-series merge (state/chunked.py).
+chunked-series merge (state/chunked.py).  The token codec
+(stages/codec_stage.py) is not in the chain: no stored byte depends on it.
 """
 
 from __future__ import annotations
 
 from ..sources.sequences import sequences_from_documents
-from ..stages.codec_stage import verify_roundtrip_batch
 from ..stages.gapfill import gapfill_batch
 from ..stages.profile import compute_profiles_batch
 from ..stages.rollup import mp_rollup_batch, rollup_batch
 
 
-def sequences_pipeline(sf_dir: str, gapfill_mode: str = "forward_fill",
-                       verify_codec: bool = True, num_blocks: int | None = None):
-    """sequences source + gap-fill + inline compression-invariant check.
+def sequences_pipeline(sf_dir: str):
+    """sequences source -> forward-fill gap-fill.
 
-    ``num_blocks=None`` auto-splits single-file inputs so downstream
-    kernel stages can use every core (a 100 TB corpus already arrives in
-    thousands of files; the split matters only for the small test inputs).
+    Single-file inputs are split into 2 x cluster CPUs blocks so the
+    kernel stages downstream can use every core (a 100 TB corpus already
+    arrives in thousands of files; the split matters only for the small
+    test inputs).
     """
+    import ray
+
     ds = sequences_from_documents(sf_dir)
-    if num_blocks is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        num_blocks = 2 * cpus
-        # the auto split exists for single/few-file test inputs; a corpus
-        # that already arrives in >= num_blocks files has all the read
-        # parallelism it needs and must NOT pay this all-to-all (metadata
-        # check only — input_files never triggers execution)
-        try:
-            if len(ds.input_files()) >= num_blocks:
-                num_blocks = 0
-        except Exception:
-            pass
-    if num_blocks:
-        ds = ds.repartition(num_blocks)
-    ds = ds.map_batches(lambda b: gapfill_batch(b, mode=gapfill_mode),
-                        batch_format="pyarrow")
-    if verify_codec:
-        ds = ds.map_batches(verify_roundtrip_batch, batch_format="pyarrow")
-        ds = ds.drop_columns(["tokens_enc"])
-    return ds
+    blocks = 2 * int(ray.cluster_resources().get("CPU", 4))
+    # a corpus that already arrives in >= blocks files has all the read
+    # parallelism it needs and must NOT pay this all-to-all (metadata
+    # check only — input_files never triggers execution)
+    try:
+        split = len(ds.input_files()) < blocks
+    except Exception:
+        split = True
+    if split:
+        ds = ds.repartition(blocks)
+    return ds.map_batches(gapfill_batch, batch_format="pyarrow")
 
 
-def token_rollup_pipeline(sf_dir: str, tiers=None, **seq_kwargs):
+def token_rollup_pipeline(sf_dir: str, tiers=None):
     """Tier rollups of the raw token values (min/max/sum/count/mean)."""
-    ds = sequences_pipeline(sf_dir, **seq_kwargs)
+    ds = sequences_pipeline(sf_dir)
     return ds.map_batches(lambda b: rollup_batch(b, tiers=tiers),
                           batch_format="pyarrow")
 
 
 def profiles_pipeline(sf_dir: str, w: int = 32, algorithm: str = "mpx",
-                      keep_tokens: bool = False, **seq_kwargs):
-    ds = sequences_pipeline(sf_dir, **seq_kwargs)
+                      keep_tokens: bool = False):
+    ds = sequences_pipeline(sf_dir)
     return ds.map_batches(
         lambda b: compute_profiles_batch(b, w=w, algorithm=algorithm,
                                          keep_tokens=keep_tokens),
         batch_format="pyarrow", batch_size=256)
 
 
-def mp_rollup_pipeline(sf_dir: str, w: int = 32, tiers=None, **seq_kwargs):
+def mp_rollup_pipeline(sf_dir: str, w: int = 32, tiers=None):
     """Tier rollups of the matrix-profile distances (min/mean/count/argmin)."""
-    ds = profiles_pipeline(sf_dir, w=w, **seq_kwargs)
+    ds = profiles_pipeline(sf_dir, w=w)
     return ds.map_batches(lambda b: mp_rollup_batch(b, tiers=tiers),
                           batch_format="pyarrow")
 
@@ -310,10 +301,9 @@ def _read_kind_dir(out_dir: str, kind: str, cols):
                                                   batch_format="pyarrow")
 
 
-def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None,
-                    **seq_kwargs):
+def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None):
     """The end-to-end rollup in ONE corpus pass (``flagship_batch`` fuses
-    the token and MP rollups, so gap-fill + codec verify run once).
+    the token and MP rollups, so read, tokenize and gap-fill run once).
 
     With ``out_dir`` the unified table streams straight to Parquet
     partitioned by kind/tier (resumable layout) and the returned pair of
@@ -323,7 +313,7 @@ def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None,
     both returned views share the single pass.
 
     Returns ``(token_rollups, mp_rollups)``."""
-    ds = sequences_pipeline(sf_dir, **seq_kwargs)
+    ds = sequences_pipeline(sf_dir)
     unified = ds.map_batches(lambda b: flagship_batch(b, w=w, tiers=tiers),
                              batch_format="pyarrow", batch_size=64)
     if out_dir:

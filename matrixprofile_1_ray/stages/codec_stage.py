@@ -1,10 +1,10 @@
 """Compression stages: tokens <-> Gorilla-style binary columns.
 
 ``encode_stage`` replaces the ragged tokens column with an Arrow binary
-column (one compressed stream per row); ``decode_stage`` inverts it.  The
-per-row invariant decode(encode(tokens)) == tokens is enforced by
-``verify_roundtrip_batch`` which the flagship pipeline runs inline (cheap:
-one extra decode per batch) — BASELINE.json input_hint's correctness bar.
+column (one compressed stream per row); ``decode_stage`` inverts it.
+``verify_roundtrip_batch`` asserts decode(encode(tokens)) == tokens per row;
+no pipeline runs it (the store keeps rollups only), and tests/test_codec.py
+checks the invariant over every gap-filled row of the test corpora.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def decode_batch(batch: pa.Table, enc_col: str = "tokens_enc",
 
 def verify_roundtrip_batch(batch: pa.Table, value_col: str = "tokens") -> pa.Table:
     """Assert the compression invariant per row; passes the batch through
-    with the encoded column attached (so downstream sinks store compressed)."""
+    with the encoded column ``tokens_enc`` attached."""
     values, offsets = list_column_to_numpy(batch[value_col])
     blobs = []
     for i in range(len(batch)):

@@ -237,8 +237,6 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
         cand_ids.update(b["doc_id"])
     ids_ref = ray.put(sorted(cand_ids))
 
-    cols = ["pair_id", "doc_a", "doc_b", "slot", "doc_id", "shingles"]
-
     class ShingleSide:
         """Actor-pool stage: the candidate-id set deserializes ONCE per
         actor (not per batch) into an Arrow value set; per batch the
@@ -247,7 +245,7 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
         def __init__(self):
             self.keep = pa.array(ray.get(ids_ref), pa.string())
 
-        def __call__(self, batch: pa.Table) -> pd.DataFrame:
+        def __call__(self, batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
             mask = pc.is_in(batch["doc_id"], value_set=self.keep)
@@ -257,32 +255,26 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
             # shingle sets travel as BYTES, not ndarrays: Ray's pandas
             # tensor extension rejects object columns of ndarrays during
             # sort-shuffle block merges
-            df = pd.DataFrame({
-                "doc_id": sub["doc_id"].to_pylist(),
-                "shingles": [flat[sh_off[i] : sh_off[i + 1]].tobytes()
-                             for i in range(len(sub))],
-            }).reindex(columns=cols)
-            df["_part"] = _hash_part(df["doc_id"], num_partitions)
-            df["_side"] = "s"
-            return df
+            return _jaccard_side(
+                "s", num_partitions, doc_id=sub["doc_id"],
+                shingles=[flat[sh_off[i] : sh_off[i + 1]].tobytes()
+                          for i in range(len(sub))])
 
-    def pair_halves(df: pd.DataFrame) -> pd.DataFrame:
-        pid = df["doc_a"] + "\x00" + df["doc_b"]
-        halves = pd.concat([
-            pd.DataFrame({"pair_id": pid, "doc_a": df["doc_a"],
-                          "doc_b": df["doc_b"], "slot": "a",
-                          "doc_id": df["doc_a"]}),
-            pd.DataFrame({"pair_id": pid, "doc_a": df["doc_a"],
-                          "doc_b": df["doc_b"], "slot": "b",
-                          "doc_id": df["doc_b"]}),
-        ], ignore_index=True).reindex(columns=cols)
-        halves["_part"] = _hash_part(halves["doc_id"], num_partitions)
-        halves["_side"] = "h"
-        return halves
+    def pair_halves(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        a, b = (batch[c].cast(pa.string()).combine_chunks()
+                for c in ("doc_a", "doc_b"))
+        pid = pc.binary_join_element_wise(a, b, "\x00")
+        return _jaccard_side(
+            "h", num_partitions, pair_id=pa.concat_arrays([pid, pid]),
+            doc_a=pa.concat_arrays([a, a]), doc_b=pa.concat_arrays([b, b]),
+            slot=["a"] * len(a) + ["b"] * len(a),
+            doc_id=pa.concat_arrays([a, b]))
 
     both = (sequences_ds.map_batches(ShingleSide, batch_format="pyarrow",
                                      concurrency=auto_concurrency())
-            .union(pairs_ds.map_batches(pair_halves, batch_format="pandas")))
+            .union(pairs_ds.map_batches(pair_halves, batch_format="pyarrow")))
 
     def attach(g: pd.DataFrame) -> pd.DataFrame:
         sh = g[g["_side"] == "s"]
@@ -317,6 +309,24 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
         })
 
     return attached.groupby("_part").map_groups(judge, batch_format="pandas")
+
+
+# One schema for both sides of the Jaccard-verify union; each side fills
+# the other's columns with typed nulls.
+_JACCARD_SIDE_SCHEMA = pa.schema([
+    ("pair_id", pa.string()), ("doc_a", pa.string()),
+    ("doc_b", pa.string()), ("slot", pa.string()),
+    ("doc_id", pa.string()), ("shingles", pa.binary()),
+    ("_part", pa.uint64()), ("_side", pa.string())])
+
+
+def _jaccard_side(side: str, num_partitions: int, **cols) -> pa.Table:
+    doc_id = cols["doc_id"].cast(pa.string())
+    n = len(doc_id)
+    cols.update(doc_id=doc_id, _side=[side] * n,
+                _part=_hash_part(doc_id.to_pandas(), num_partitions))
+    return pa.table({f.name: cols.get(f.name, pa.nulls(n, f.type))
+                     for f in _JACCARD_SIDE_SCHEMA}).cast(_JACCARD_SIDE_SCHEMA)
 
 
 def dedup_groups(pairs_ds, driver_threshold: int = 1_000_000):
@@ -410,8 +420,11 @@ def _hash_str_arrow(col) -> np.ndarray:
 
 
 def _hash_part(series: pd.Series, num_partitions: int) -> np.ndarray:
-    """Deterministic cross-process partition id (pandas hash, fixed key)."""
-    return (pd.util.hash_pandas_object(series.astype(str), index=False)
+    """Deterministic cross-process partition id (pandas hash, fixed key;
+    not categorized: pandas' factorize equates strings that differ only
+    after a NUL, as the pair ids of ``verify_jaccard_bucketed`` do)."""
+    return (pd.util.hash_pandas_object(series.astype(str), index=False,
+                                       categorize=False)
             % num_partitions).to_numpy()
 
 

@@ -158,8 +158,7 @@ def add_epoch_column(batch: pa.Table, widths: dict,
 
 
 def write_tiered_store(sf_dir: str, store_dir: str, w: int = 32,
-                       tiers: dict = None, epoch_sec: int = 86400,
-                       **seq_kwargs) -> dict:
+                       tiers: dict = None, epoch_sec: int = 86400) -> dict:
     """One corpus pass -> hive store ``kind=*/tier=*/epoch=*``.
 
     Reuses the fused flagship transform (token + matrix-profile rollups in
@@ -186,7 +185,7 @@ def write_tiered_store(sf_dir: str, store_dir: str, w: int = 32,
                           for n in names),
         "a tiered rollup store (kind=* partitions + _store_meta.json)")
 
-    ds = sequences_pipeline(sf_dir, **seq_kwargs)
+    ds = sequences_pipeline(sf_dir)
     unified = ds.map_batches(
         lambda b: add_epoch_column(flagship_batch(b, w=w, tiers=widths),
                                    widths, epoch_sec),

@@ -63,7 +63,8 @@ def min_top2_margin(cb) -> float:
     if pl < 2:
         return float("-inf")
     two = np.partition(cb, pl - 2, axis=1)[:, -2:]
-    margins = two[:, 1] - two[:, 0]
+    with np.errstate(invalid="ignore"):  # -inf - -inf: caught just below
+        margins = two[:, 1] - two[:, 0]
     if np.isnan(margins).any():
         return float("-inf")
     return float(margins.min())

@@ -2,6 +2,7 @@
 per-row invariant: decode(encode(tokens)) == tokens exactly)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,6 @@ def test_int_edge_sizes():
 
 
 def test_int_out_of_contract_raises():
-    import pytest
-
     with pytest.raises(OverflowError):
         encode_int_dod(np.array([0, 2**40], dtype=np.int64))
     with pytest.raises(OverflowError):
@@ -68,3 +67,26 @@ def test_ascii_token_stream_roundtrip():
     enc = encode_int_dod(arr)
     np.testing.assert_array_equal(decode_int_dod(enc), arr)
     assert len(enc) < 2.2 * len(arr)
+
+
+@pytest.mark.parametrize("sf", ["sf0.001", "sf0.01", "sf0.1"])
+def test_corpus_roundtrip_every_gapfilled_row(sf):
+    """decode(encode(t)) == t, list for list, for every row the flagship
+    chain produces (tokenize -> forward-fill gap-fill) from the whole
+    test corpus.  The pipelines do not run this check, so this test is
+    its evidence."""
+    import pyarrow.parquet as pq
+
+    from matrixprofile_1_ray.sources.sequences import tokenize_documents_batch
+    from matrixprofile_1_ray.stages.codec_stage import (
+        decode_batch,
+        encode_batch,
+    )
+    from matrixprofile_1_ray.stages.gapfill import gapfill_batch
+
+    docs = pq.read_table(f"/root/testdata/{sf}/documents.parquet",
+                         columns=["doc_id", "text", "source"])
+    seqs = gapfill_batch(tokenize_documents_batch(docs))
+    assert len(seqs) == len(docs) > 0
+    back = decode_batch(encode_batch(seqs))
+    assert back["tokens"].to_pylist() == seqs["tokens"].to_pylist()

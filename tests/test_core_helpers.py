@@ -2,6 +2,7 @@
 (reference tests/test_core.py:117-289)."""
 
 import numpy as np
+import pytest
 
 from matrixprofile_1_ray.kernels import (
     clean_nan_inf,
@@ -48,6 +49,7 @@ def test_find_skip_locations_vector():
         find_skip_locations(ts, 4, 3), [True, True, True, False])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pearson_to_euclidean_vectors():
     a = np.array([0.23, 0.5, 0.34, 0.67, 0.88])
     desired = [2.48193473, 2, 2.29782506, 1.62480768, 0.9797959]

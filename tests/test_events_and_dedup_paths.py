@@ -250,6 +250,64 @@ def test_verify_jaccard_bucketed_no_surviving_pair_is_typed(ray_session):
     assert types["doc_b"] == pa.string()
 
 
+def test_verify_jaccard_bucketed_sides_share_one_schema(ray_session):
+    """The shingle side and the pair halves union into one stream; if
+    their blocks disagree on column types, Ray logs a schema-drift
+    warning for every mismatching block.  Both sides must emit the same
+    typed Arrow schema."""
+    import logging
+
+    import ray.data
+
+    from matrixprofile_1_ray.stages.dedup import verify_jaccard_bucketed
+
+    class Records(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    seqs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(["a", "b", "c"], pa.string()),
+        "tokens": pa.array([[1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7],
+                            [9, 8, 7, 6, 5, 4, 3]], pa.list_(pa.int64())),
+    }))
+    pairs = ray.data.from_arrow(pa.table({
+        "doc_a": pa.array(["a", "a"], pa.string()),
+        "doc_b": pa.array(["b", "c"], pa.string()),
+    }))
+    handler = Records()
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(handler)
+    try:
+        out = verify_jaccard_bucketed(pairs, seqs, threshold=0.5).take_all()
+    finally:
+        log.removeHandler(handler)
+    assert [(r["doc_a"], r["doc_b"], r["jaccard"]) for r in out] == [
+        ("a", "b", 1.0)]
+    drift = [m for m in handler.messages if "different schema" in m]
+    assert drift == []
+
+
+
+def test_hash_part_of_nul_joined_ids_is_per_value():
+    """Pair ids join two doc ids with NUL.  Each id must hash to its own
+    partition whatever else its batch holds (pandas' categorized hash
+    collapsed ids that differ only after the NUL to the first one seen,
+    which split the halves of a pair across verify partitions)."""
+    from matrixprofile_1_ray.stages.dedup import _hash_part
+
+    ids = ["0\x0050", "0\x00338", "0\x00205", "0\x0082"]
+    alone = [int(_hash_part(pd.Series([i]), 16)[0]) for i in ids]
+    assert len(set(alone)) > 1
+    for order in (ids, ids[::-1]):
+        got = dict(zip(order, _hash_part(pd.Series(order), 16).tolist()))
+        assert [got[i] for i in ids] == alone
+
+
 def test_frame_sample_batch():
     from matrixprofile_1_ray.stages.multimodal import frame_sample_batch
 

@@ -52,7 +52,7 @@ def _rollup_cmd(corpus: str, out: str):
     # slow enough (~1-2 s) that polling can land between completions
     return _cli(["rollup", "--input", corpus, "--output", out,
                  "--partitions", str(N_PARTS), "--jobs", "1",
-                 "--num-cpus", "2", "--no-verify-codec"])
+                 "--num-cpus", "2"])
 
 
 def _manifest_lines(out: str) -> int:

@@ -122,6 +122,7 @@ def test_analyze_named_subentries(sampledata):
     assert prof["class"] == "PMP"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_reference_namespace_layout(sampledata):
     """A reference user's module paths resolve: mp.discover.motifs,
     mp.utils.pick_mp, mp.transform.apply_av, mp.io.to_disk (reference

@@ -195,6 +195,7 @@ def test_synthetic_corpus_deterministic():
     assert a.slice(4, 4)["tokens"].to_pylist() == c["tokens"].to_pylist()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_min_top2_margin_fails_closed_on_degenerate_rows():
     """Callers drop a doc when margin <= floor, so degenerate inputs must
     come back -inf (dropped), never NaN (NaN <= floor is False -> the doc
