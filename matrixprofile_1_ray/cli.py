@@ -288,6 +288,8 @@ def cmd_retention(args):
                 f"(e.g. 0:86400)") from None
         ds = tiered_read(args.store, args.kind, args.now, policy,
                          t_lo=lo, t_hi=hi)
+        # materialized: the count is block metadata, not a second read
+        report["served_rows"] = ds.count()
         if args.output:
             from .io.fsutil import guarded_clean_dir
 
@@ -300,7 +302,6 @@ def cmd_retention(args):
                 "a served tier range (parquet files)")
             ds.write_parquet(args.output)
             report["served_to"] = args.output
-        report["served_rows"] = ds.count()
     print(json.dumps(report))
 
 

@@ -298,6 +298,9 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
         if payload[pos] != 0xFF:
             raise ValueError("JPEG: expected marker")
         marker = payload[pos + 1]
+        if marker == 0xFF:      # fill byte before a marker (T.81 B.1.1.2)
+            pos += 1
+            continue
         if marker == 0xD8 or 0xD0 <= marker <= 0xD7:   # SOI / bare RST
             pos += 2
             continue

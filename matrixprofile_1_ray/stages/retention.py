@@ -34,9 +34,12 @@ Scale design — why the store is partitioned by ``kind/tier/epoch``:
   bucket that ended before the horizon without reading, shuffling or
   rewriting a single row.  At 100 TB a rewrite-based TTL is a non-starter;
   directory deletion is O(files), metadata-only.
-* **Reads prune before bytes move**: ``PathPartitionFilter`` keeps only
-  the epochs intersecting the query range × tier horizon, so a "last 7
-  days from 1m, older from 1h" query never opens a cold epoch file.
+* **Reads prune before bytes move**: a serving read lists one
+  ``kind/tier`` directory, keeps only the epochs intersecting the query
+  range × tier horizon and reads their files in the calling process
+  (no Ray job per query), so a "last 7 days from 1m, older from 1h"
+  query never opens a cold epoch file.  The result is one materialized
+  Dataset: every caller collects it in the driver anyway.
 * **Epoch width AND the tier->seconds map are stored in the layout**
   (``_store_meta.json``), so a reader can never prune with different
   arithmetic than the writer used.
@@ -205,6 +208,18 @@ def store_meta(store_dir: str) -> dict:
         return json.loads(f.read().decode())
 
 
+def _epoch_dirs(filesystem, tier_dir: str):
+    """Yield (epoch, path) for every ``epoch=E`` dir under one
+    ``kind=K/tier=T`` dir (none when that dir does not exist)."""
+    from pyarrow import fs as pafs
+
+    for info in filesystem.get_file_info(
+            pafs.FileSelector(tier_dir, allow_not_found=True)):
+        if info.type == pafs.FileType.Directory and \
+                info.base_name.startswith("epoch="):
+            yield int(info.base_name.split("=", 1)[1]), info.path
+
+
 def _list_epoch_dirs(store_dir: str):
     """Yield (kind, tier, epoch, relative_dir) for every leaf partition."""
     from pyarrow import fs as pafs
@@ -220,13 +235,9 @@ def _list_epoch_dirs(store_dir: str):
             tname = tier_info.base_name
             if not tname.startswith("tier="):
                 continue
-            for ep_info in filesystem.get_file_info(
-                    pafs.FileSelector(tier_info.path)):
-                ename = ep_info.base_name
-                if not ename.startswith("epoch="):
-                    continue
+            for epoch, path in _epoch_dirs(filesystem, tier_info.path):
                 yield (kname.split("=", 1)[1], tname.split("=", 1)[1],
-                       int(ename.split("=", 1)[1]), ep_info.path)
+                       epoch, path)
 
 
 def _append_log(filesystem, log_path: str, record: dict) -> None:
@@ -329,46 +340,55 @@ def apply_retention(store_dir: str, now_sec: float,
 
 
 def _read_tier_range(store_dir: str, kind: str, tier: str, lo: float,
-                     hi: float, widths: dict, epoch_sec: int):
-    """Pruned read of one tier restricted to bucket_start in [lo, hi)."""
+                     hi: float, widths: dict, epoch_sec: int) -> pa.Table:
+    """One tier restricted to ``bucket_start`` in ``[lo, hi)``, read in
+    this process: list ``kind=K/tier=T`` once, keep the epoch dirs that
+    can hold a bucket starting in range, list only those, and scan their
+    files with the bucket range pushed into the Parquet scan.  A range
+    with no file yields a 0-row table holding only ``tier`` and
+    ``bucket_start``."""
     import pyarrow.compute as pc
-    import ray.data
-    from ray.data.datasource.partitioning import PathPartitionFilter
+    import pyarrow.dataset as pads
+    from pyarrow import fs as pafs
 
     tier_sec = widths[tier]
-    ep_lo = int(lo // epoch_sec)
-    ep_hi = int(math.ceil(hi / epoch_sec))  # exclusive
+    # buckets b whose start b * tier_sec lies in [lo, hi), compared
+    # exactly: a fractional lo must not admit the bucket starting before it
+    b_lo = math.ceil(lo / tier_sec)
+    b_hi = math.ceil(hi / tier_sec)                # exclusive
+    # epochs are keyed by bucket start: those of the first and last start
+    ep_lo = b_lo * tier_sec // epoch_sec
+    ep_hi = (b_hi - 1) * tier_sec // epoch_sec     # inclusive
+    filesystem, rel = fs_and_path(store_dir)
+    files = []
+    for epoch, path in sorted(_epoch_dirs(
+            filesystem, f"{rel}/kind={kind}/tier={tier}")):
+        if ep_lo <= epoch <= ep_hi:
+            files += sorted(
+                f.path for f in filesystem.get_file_info(
+                    pafs.FileSelector(path))
+                if f.type == pafs.FileType.File
+                and f.base_name.endswith(".parquet"))
+    if not files:
+        return pa.table({"tier": pa.array([], pa.string()),
+                         "bucket_start": pa.array([], pa.int64())})
+    bucket = pads.field("bucket")
+    table = pads.dataset(files, filesystem=filesystem,
+                         format="parquet").to_table(
+        filter=(bucket >= b_lo) & (bucket < b_hi))
+    return table.append_column(
+        "tier", pa.array([tier] * len(table), pa.string())).append_column(
+        "bucket_start", pc.multiply(table["bucket"], tier_sec))
 
-    def keep(kv) -> bool:
-        if kv.get("kind") != kind or kv.get("tier") != tier:
-            return False
-        ep = int(kv.get("epoch", "-1"))
-        return ep_lo <= ep < ep_hi
 
-    ds = ray.data.read_parquet(
-        store_dir, partition_filter=PathPartitionFilter.of(keep,
-                                                           style="hive"),
-        file_extensions=["parquet"])
+def _served(parts: list):
+    """The concatenated parts as one materialized Dataset.  Parts with no
+    rows are dropped first, so a part that found no file (no data
+    columns) cannot reshape the others' schema."""
+    import ray.data
 
-    def clip(batch: pa.Table) -> pa.Table:
-        # no zero-row early return: an empty batch must still go through
-        # the column rewrite below or its block keeps hive-typed
-        # kind/tier/epoch columns and lacks bucket_start (schema drift)
-        start = pc.multiply(batch["bucket"], tier_sec)
-        mask = pc.and_(pc.greater_equal(start, int(lo)),
-                       pc.less(start, int(hi)))
-        out = batch.filter(mask)
-        # hive keys come back typed by directory inference; normalize
-        cols = {c: out[c] for c in out.column_names
-                if c not in ("kind", "tier", "epoch")}
-        n = len(out)
-        cols["tier"] = pa.array([tier] * n, pa.string())
-        cols["bucket_start"] = pa.array(
-            out["bucket"].to_numpy(zero_copy_only=False) * tier_sec,
-            pa.int64())
-        return pa.table(cols)
-
-    return ds.map_batches(clip, batch_format="pyarrow")
+    tables = [t for t in parts if t.num_rows] or parts[:1]
+    return ray.data.from_arrow(pa.concat_tables(tables).combine_chunks())
 
 
 def stitch_plan(policy: RetentionPolicy, now_sec: float, t_lo: float,
@@ -409,28 +429,26 @@ def tiered_read(store_dir: str, kind: str, now_sec: float,
     tier widths), each tier serves down to its coarse-aligned horizon —
     the standard continuous-aggregate read: recent data at 1m grain, older
     at 1h, ancient at 1d, with exact non-overlapping wall-clock coverage
-    (see :func:`stitch_plan`).  Each per-tier read prunes epochs at file
-    discovery, so the union's cost is proportional to the data actually
-    served.  Returns one Dataset tagged by ``tier`` + ``bucket_start``.
+    (see :func:`stitch_plan`).  Each per-tier read lists only the epoch
+    dirs that exist and intersect its range, so the cost is proportional
+    to the data actually served.  Returns one materialized Dataset tagged
+    by ``tier`` + ``bucket_start``.
     """
     policy = policy or RetentionPolicy()
     meta = store_meta(store_dir)
     epoch_sec, widths = meta["epoch_sec"], meta["tiers"]
     t_hi = float("inf") if t_hi is None else t_hi
 
-    parts = [
-        _read_tier_range(store_dir, kind, tier, lo, hi, widths, epoch_sec)
-        for tier, lo, hi in stitch_plan(policy, now_sec, t_lo, t_hi, widths)]
-    if not parts:
+    plan = stitch_plan(policy, now_sec, t_lo, t_hi, widths)
+    if not plan:
         if t_hi <= t_lo:
             raise ValueError(
                 f"empty range: t_lo={t_lo} must be < t_hi={t_hi}")
         raise ValueError("requested range is entirely past every tier's "
                          "retention horizon (or entirely after now_sec)")
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds
+    return _served([
+        _read_tier_range(store_dir, kind, tier, lo, hi, widths, epoch_sec)
+        for tier, lo, hi in plan])
 
 
 def downsample_read(store_dir: str, kind: str, t_lo: float, t_hi: float,
@@ -441,7 +459,7 @@ def downsample_read(store_dir: str, kind: str, t_lo: float, t_hi: float,
     tiers whose aligned horizon has expired past ``t_lo`` are skipped, so
     a post-retention read falls back to a coarser tier that still holds
     the whole range instead of silently serving a truncated suffix.  One
-    pruned read, no stitching."""
+    pruned read, no stitching; returns one materialized Dataset."""
     if (policy is None) != (now_sec is None):
         raise ValueError(
             "pass BOTH now_sec and policy (or neither): with only one, "
@@ -465,5 +483,5 @@ def downsample_read(store_dir: str, kind: str, t_lo: float, t_hi: float,
         if math.ceil((t_hi - t_lo) / widths[tier]) <= max_points:
             chosen = tier
             break
-    return _read_tier_range(store_dir, kind, chosen, t_lo, t_hi, widths,
-                            epoch_sec)
+    return _served([_read_tier_range(store_dir, kind, chosen, t_lo, t_hi,
+                                     widths, epoch_sec)])

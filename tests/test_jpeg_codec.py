@@ -138,6 +138,24 @@ def test_deterministic_bytes():
     assert encode_jpeg(img, quality=80) == encode_jpeg(img, quality=80)
 
 
+def test_fill_bytes_before_markers_are_skipped():
+    """T.81 B.1.1.2: any marker may be preceded by 0xFF fill bytes."""
+    good = encode_jpeg(_gradient_rgb(), quality=90)
+    padded, pos = bytearray(good[:2]), 2
+    while True:                         # header segments up to SOS
+        marker = good[pos + 1]
+        if marker == 0xDA:
+            break
+        seglen = int.from_bytes(good[pos + 2 : pos + 4], "big")
+        if marker in (0xDB, 0xC4):      # DQT, DHT
+            padded += b"\xFF" * 3
+        padded += good[pos : pos + 2 + seglen]
+        pos += 2 + seglen
+    padded += good[pos:]
+    assert len(padded) > len(good)
+    assert (decode_jpeg(bytes(padded)) == decode_jpeg(good)).all()
+
+
 # --------------------------------------------------------- error paths
 
 def test_corrupt_inputs_raise():

@@ -232,6 +232,97 @@ def test_apply_retention_deletes_only_expired_epochs(store):
     assert set(ds["tier"]) == {"1h"}
 
 
+def test_fractional_bounds_are_exact(store):
+    """``[lo, hi)`` is compared exactly: a bucket starting before a
+    fractional ``lo`` is not served, one starting before ``hi`` is."""
+    from matrixprofile_1_ray.stages.retention import (
+        downsample_read,
+        tiered_read,
+    )
+
+    path, _ = store
+    lo, hi = AH_1M + 0.5, AH_1M + 120.5
+    for ds in (tiered_read(path, "token", NOW, _policy(), lo, hi),
+               downsample_read(path, "token", lo, hi, max_points=3,
+                               now_sec=NOW, policy=_policy())):
+        df = ds.to_pandas()
+        assert set(df["tier"]) == {"1m"}
+        assert sorted(set(df["bucket_start"])) == [AH_1M + 60, AH_1M + 120]
+        assert len(df) == 2 * sum(n > AH_1M + 120 for n in DOC_LENGTHS)
+
+
+def test_range_without_files_serves_zero_rows(store):
+    """1h buckets start every 3600 s, so [600, 1800) has no 1h epoch dir:
+    both entry points serve 0 rows instead of raising."""
+    from matrixprofile_1_ray.stages.retention import (
+        downsample_read,
+        tiered_read,
+    )
+
+    path, _ = store
+    assert downsample_read(path, "token", 600, 1800,
+                           max_points=1).count() == 0
+    assert tiered_read(path, "token", NOW, _policy(), 600, 1800).count() == 0
+
+
+def test_stitched_read_with_empty_parts_keeps_columns(store):
+    """At now=40000 the 1m and 10m parts of the plan fall past the data
+    (no epoch dir), so only the 1h part has rows; the result still has
+    that part's rows and the stored columns in their stored order."""
+    from matrixprofile_1_ray.stages.retention import (
+        stitch_plan,
+        tiered_read,
+    )
+
+    path, meta = store
+    now = 40000
+    plan = stitch_plan(_policy(), now, 3000, now, meta["tiers"])
+    assert [t for t, _, _ in plan] == ["1m", "10m", "1h"]
+    tab = pa.concat_tables(tiered_read(path, "token", now, _policy(), 3000,
+                                       now).iter_batches(
+        batch_format="pyarrow", batch_size=None))
+    assert set(tab["tier"].to_pylist()) == {"1h"}
+    assert sorted(set(tab["bucket_start"].to_pylist())) == \
+        [3600, 7200, 10800, 14400, 18000]
+    full = tiered_read(path, "token", NOW, _policy(), 0, NOW)
+    assert tab.schema.names == full.schema().names
+
+
+def test_wide_range_lists_only_existing_epochs(store):
+    """t_hi=1e12 spans ~1.7e9 epochs at epoch_sec=600: the read must walk
+    the epoch dirs that exist, not every epoch number in the range."""
+    import time
+
+    from matrixprofile_1_ray.stages.retention import (
+        downsample_read,
+        tiered_read,
+    )
+
+    path, _ = store
+    t0 = time.perf_counter()
+    wide = tiered_read(path, "token", NOW, _policy(), AH_1M, 1e12)
+    assert wide.count() == tiered_read(path, "token", NOW, _policy(),
+                                       AH_1M, NOW).count() > 0
+    coarse = downsample_read(path, "token", 0, 1e12, max_points=10**9)
+    assert set(coarse.to_pandas()["tier"]) == {"1h"}
+    assert time.perf_counter() - t0 < 60
+
+
+def test_reads_return_materialized_datasets(store):
+    from ray.data.dataset import MaterializedDataset
+
+    from matrixprofile_1_ray.stages.retention import (
+        downsample_read,
+        tiered_read,
+    )
+
+    path, _ = store
+    assert isinstance(tiered_read(path, "mp", NOW, _policy(), 0, NOW),
+                      MaterializedDataset)
+    assert isinstance(downsample_read(path, "mp", 0, 18000, max_points=10),
+                      MaterializedDataset)
+
+
 def test_stitch_plan_properties():
     """Pure-plan properties under random policies/ranges: intervals are
     non-empty, disjoint, time-descending with tier coarseness, each tier
