@@ -246,6 +246,7 @@ def cmd_retention(args):
     from .stages.retention import (
         RetentionPolicy,
         apply_retention,
+        store_layout,
         tiered_read,
         write_tiered_store,
     )
@@ -276,6 +277,7 @@ def cmd_retention(args):
         meta = write_tiered_store(args.build_from, args.store, w=args.window,
                                   epoch_sec=args.epoch_sec)
         report["built"] = meta
+        report["layout"] = store_layout(args.store)
     if args.expire:
         report["expired"] = apply_retention(args.store, args.now, policy)
     if args.serve is not None:

@@ -349,6 +349,11 @@ def _decode_scan(data: bytes, pos: int, frame, scan, quant, huff,
     if len(scan) != len(comps):
         raise ValueError("JPEG: progressive/multi-scan streams "
                          "unsupported (baseline only)")
+    if len(scan) == 1:
+        # a one-component scan is non-interleaved (T.81 A.2.2): each MCU
+        # is one data unit over the component's own ceil(w/8) x ceil(h/8)
+        # block grid, whatever sampling factors the frame declares
+        comps = [dict(comps[0], h=1, v=1)]
     by_id = {c["id"]: c for c in comps}
     hmax = max(c["h"] for c in comps)
     vmax = max(c["v"] for c in comps)

@@ -320,6 +320,7 @@ def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None):
         import ray.data
 
         from ..io.fsutil import guarded_clean_dir
+        from ..stages.retention import ROW_GROUP_ROWS
 
         # write_parquet APPENDS uniquely-named files, so a re-run into the
         # same out_dir would double every rollup row in the returned reads:
@@ -329,7 +330,8 @@ def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None):
         guarded_clean_dir(
             out_dir, lambda names: all(n.startswith("kind=") for n in names),
             "a flagship rollup layout (only kind=* partitions expected)")
-        unified.write_parquet(out_dir, partition_cols=["kind", "tier"])
+        unified.write_parquet(out_dir, partition_cols=["kind", "tier"],
+                              row_group_size=ROW_GROUP_ROWS)
         token = _read_kind_dir(out_dir, "token", TOKEN_ROLLUP_COLS)
         mp = _read_kind_dir(out_dir, "mp", MP_ROLLUP_COLS)
         return token, mp

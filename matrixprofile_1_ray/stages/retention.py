@@ -38,8 +38,17 @@ Scale design — why the store is partitioned by ``kind/tier/epoch``:
   ``kind/tier`` directory, keeps only the epochs intersecting the query
   range × tier horizon and reads their files in the calling process
   (no Ray job per query), so a "last 7 days from 1m, older from 1h"
-  query never opens a cold epoch file.  The result is one materialized
-  Dataset: every caller collects it in the driver anyway.
+  query never opens a cold epoch file.  The result is one Dataset that
+  is already executed (``materialize()`` of the ``from_arrow`` source
+  takes Ray's no-executor fast path), so iterating or counting it
+  reuses the one in-memory block instead of starting a streaming
+  executor: every caller collects it in the driver anyway.
+* **One row group per file**: both partitioned writes of the unified
+  rollup table pass :data:`ROW_GROUP_ROWS` (pyarrow's own row-group
+  cap), so each write task writes one row group per partition it
+  touches instead of one per 64-row map batch.  The store is less than
+  half the bytes, and a serving scan reads one footer and one group per
+  file.  The file count still follows the write tasks (one per block).
 * **Epoch width AND the tier->seconds map are stored in the layout**
   (``_store_meta.json``), so a reader can never prune with different
   arithmetic than the writer used.
@@ -60,6 +69,10 @@ from .rollup import TIERS as DEFAULT_TIERS
 
 _META_NAME = "_store_meta.json"
 _LOG_NAME = "_retention_log.jsonl"
+# rows per Parquet row group for both partitioned rollup writes (this one
+# and pipelines/flagship.py:flagship_rollup): pyarrow's default cap, so a
+# write task's rows for one partition land in one row group
+ROW_GROUP_ROWS = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -193,7 +206,8 @@ def write_tiered_store(sf_dir: str, store_dir: str, w: int = 32,
         lambda b: add_epoch_column(flagship_batch(b, w=w, tiers=widths),
                                    widths, epoch_sec),
         batch_format="pyarrow", batch_size=64)
-    unified.write_parquet(store_dir, partition_cols=["kind", "tier", "epoch"])
+    unified.write_parquet(store_dir, partition_cols=["kind", "tier", "epoch"],
+                          row_group_size=ROW_GROUP_ROWS)
 
     meta = {"epoch_sec": int(epoch_sec), "w": int(w), "tiers": widths}
     filesystem, rel = fs_and_path(store_dir)
@@ -206,6 +220,26 @@ def store_meta(store_dir: str) -> dict:
     filesystem, rel = fs_and_path(store_dir)
     with filesystem.open_input_stream(f"{rel}/{_META_NAME}") as f:
         return json.loads(f.read().decode())
+
+
+def store_layout(store_dir: str) -> dict:
+    """``{"files", "row_groups", "bytes"}`` over every Parquet file of the
+    store's leaf partitions; row groups come from each file's footer."""
+    import pyarrow.parquet as pq
+    from pyarrow import fs as pafs
+
+    filesystem, _ = fs_and_path(store_dir)
+    files = row_groups = nbytes = 0
+    for _kind, _tier, _epoch, path in _list_epoch_dirs(store_dir):
+        for info in filesystem.get_file_info(pafs.FileSelector(path)):
+            if info.type != pafs.FileType.File or \
+                    not info.base_name.endswith(".parquet"):
+                continue
+            with filesystem.open_input_file(info.path) as f:
+                row_groups += pq.ParquetFile(f).metadata.num_row_groups
+            files += 1
+            nbytes += info.size
+    return {"files": files, "row_groups": row_groups, "bytes": nbytes}
 
 
 def _epoch_dirs(filesystem, tier_dir: str):
@@ -382,13 +416,16 @@ def _read_tier_range(store_dir: str, kind: str, tier: str, lo: float,
 
 
 def _served(parts: list):
-    """The concatenated parts as one materialized Dataset.  Parts with no
+    """The concatenated parts as one executed Dataset.  Parts with no
     rows are dropped first, so a part that found no file (no data
-    columns) cannot reshape the others' schema."""
+    columns) cannot reshape the others' schema.  ``materialize()`` of a
+    ``from_arrow`` source stores the plan's snapshot without an executor;
+    without it every later iteration starts a streaming executor."""
     import ray.data
 
     tables = [t for t in parts if t.num_rows] or parts[:1]
-    return ray.data.from_arrow(pa.concat_tables(tables).combine_chunks())
+    return ray.data.from_arrow(
+        pa.concat_tables(tables).combine_chunks()).materialize()
 
 
 def stitch_plan(policy: RetentionPolicy, now_sec: float, t_lo: float,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 
@@ -9,6 +10,23 @@ GOLDEN_DIR = os.path.dirname(__file__)
 
 def golden(name):
     return np.loadtxt(os.path.join(GOLDEN_DIR, name))
+
+
+def store_fingerprint(root):
+    """Sorted ``(partition dir, size, sha256)`` of every Parquet file
+    under ``root``.  Two writes of one corpus compare by content this
+    way: Ray names each written file after a random write id."""
+    out = []
+    for dirpath, _dirs, names in os.walk(root):
+        for name in names:
+            if not name.endswith(".parquet"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                digest = hashlib.sha256(f.read()).hexdigest()
+            out.append((os.path.relpath(dirpath, root),
+                        os.path.getsize(path), digest))
+    return sorted(out)
 
 
 @pytest.fixture(scope="session")

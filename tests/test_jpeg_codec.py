@@ -156,6 +156,21 @@ def test_fill_bytes_before_markers_are_skipped():
     assert (decode_jpeg(bytes(padded)) == decode_jpeg(good)).all()
 
 
+def test_single_component_scan_ignores_declared_sampling():
+    """T.81 A.2.2: a one-component scan is non-interleaved, so a
+    grayscale frame declaring 2x2 sampling decodes over the same
+    ceil(w/8) x ceil(h/8) block grid as one declaring 1x1."""
+    g = np.random.default_rng(5).integers(0, 256, (19, 21), dtype=np.uint8)
+    good = encode_jpeg(g, quality=90)
+    sof = good.index(b"\xFF\xC0")
+    # SOF0: marker, length, precision, height, width, Nf, then C1 id
+    # and its sampling byte
+    samp = sof + 2 + 2 + 1 + 2 + 2 + 1 + 1
+    assert good[samp] == 0x11
+    patched = good[:samp] + b"\x22" + good[samp + 1:]
+    assert (decode_jpeg(patched) == decode_jpeg(good)).all()
+
+
 # --------------------------------------------------------- error paths
 
 def test_corrupt_inputs_raise():

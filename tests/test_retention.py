@@ -16,6 +16,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from tests.conftest import store_fingerprint
+
 NOW = 19000                                    # ingest watermark (seconds)
 WIDTHS = {"1m": 60, "10m": 600, "1h": 3600}
 POLICY_AGES = {"1m": 2600, "10m": 13400, "1h": None}
@@ -24,6 +26,7 @@ POLICY_AGES = {"1m": 2600, "10m": 13400, "1h": None}
 AH_1M = 16200
 AH_10M = 3600
 DOC_LENGTHS = [19000, 18500, 12000]
+SF0001 = "/root/testdata/sf0.001"
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +326,62 @@ def test_reads_return_materialized_datasets(store):
                       MaterializedDataset)
 
 
+def _row_groups_per_file(root):
+    return [pq.ParquetFile(os.path.join(d, n)).metadata.num_row_groups
+            for d, _, names in os.walk(root) for n in names
+            if n.endswith(".parquet")]
+
+
+def test_writes_hold_one_row_group(store, tmp_path):
+    """Every store file holds one row group: the module's store, and both
+    partitioned rollup writes over a 500-doc corpus, whose write tasks
+    each see many 64-row map batches per partition."""
+    from matrixprofile_1_ray.pipelines.flagship import flagship_rollup
+    from matrixprofile_1_ray.stages.retention import write_tiered_store
+
+    flag, tiered = str(tmp_path / "flag"), str(tmp_path / "tiered")
+    flagship_rollup(SF0001, out_dir=flag)
+    write_tiered_store(SF0001, tiered)
+    for out in (store[0], flag, tiered):
+        counts = _row_groups_per_file(out)
+        assert counts and set(counts) == {1}
+
+
+def test_rewrite_gives_identical_files(ray_session, tmp_path):
+    """Same corpus, same cluster: the same (partition, size, sha256)
+    multiset, so the layout is a function of the data and the split."""
+    from matrixprofile_1_ray.stages.retention import write_tiered_store
+
+    prints = []
+    for name in ("first", "second"):
+        out = str(tmp_path / name)
+        write_tiered_store(SF0001, out)
+        prints.append(store_fingerprint(out))
+    assert prints[0] and prints[1] == prints[0]
+
+
+def test_served_results_start_no_executor(store, monkeypatch):
+    """A served result is already executed: reading, iterating and
+    counting it must never start a streaming executor."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from matrixprofile_1_ray.stages.retention import (
+        downsample_read,
+        tiered_read,
+    )
+
+    def no_executor(self):
+        raise AssertionError("a served result started an executor")
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", no_executor)
+    path, _ = store
+    for ds in (tiered_read(path, "token", NOW, _policy(), 0, NOW),
+               downsample_read(path, "mp", 0, 18000, max_points=10)):
+        rows = sum(b.num_rows for b in
+                   ds.iter_batches(batch_format="pyarrow", batch_size=None))
+        assert rows == ds.count() > 0
+
+
 def test_stitch_plan_properties():
     """Pure-plan properties under random policies/ranges: intervals are
     non-empty, disjoint, time-descending with tier coarseness, each tier
@@ -397,6 +456,9 @@ def test_cli_retention_build_expire_serve(ray_session, corpus, tmp_path):
               "--num-cpus", "4"])
     report = json.loads(buf.getvalue().strip().splitlines()[-1])
     assert report["built"]["epoch_sec"] == 600
+    layout = report["layout"]
+    assert layout["row_groups"] == layout["files"] > 0
+    assert layout["bytes"] > 0
     # default 1m/1h/1d ladder: 1m aligned horizon floor(16400/3600)*3600
     # = 14400 -> epochs ending <= 14400 (e <= 23) expire
     gone_1m = {d["epoch"] for d in report["expired"]["deleted"]
