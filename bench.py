@@ -54,10 +54,10 @@ SCALE_ROWS = int(os.environ.get("GRAFT_SCALE_ROWS", "96000"))
 # the neighbor quota and measure the host, not the engine)
 SCALE_MID = int(os.environ.get("GRAFT_SCALE_MID", "4"))
 # pinned quiet-window serial-probe reference for probe normalization
-# (rounds 3-4 measured 0.053-0.097 s quiet band on this host; the pin is
-# the band's low-middle so normalization only ever DEFLATES readings
-# taken under throttle, never inflates quiet ones)
-QUIET_PROBE_REF_SEC = float(os.environ.get("GRAFT_PROBE_REF", "0.060"))
+# (0.050-0.057 s quiet band of throttle_probe on the 1-CPU re-anchor host;
+# the pin is the band's low end so normalization only ever DEFLATES
+# readings taken under throttle, never inflates quiet ones)
+QUIET_PROBE_REF_SEC = float(os.environ.get("GRAFT_PROBE_REF", "0.052"))
 
 
 def synth_path(rows: int = None, rows_per_block: int = 250) -> str:
@@ -107,21 +107,20 @@ def synth_token_count(spath: str) -> int:
 
 
 def throttle_probe() -> float:
-    """Single-process serial CPU probe: one MPX self-join on a fixed 8192-
-    point series, pure NumPy/C compute, no Ray.  The engine never changes
-    this code path round-over-round, so a slow reading means the HOST is
-    throttled — it makes a throttled bench window machine-detectable
-    inside the emitted JSON instead of living in BASELINE.md prose.
-    Quiet-window reference: ~0.06-0.09 s on this host; >=0.15 s marks a
-    throttle window (see BASELINE.md)."""
+    """Single-process serial CPU probe: a fixed NumPy computation (sort and
+    prefix-sum a 65 536-point series, 48 times), no Ray and nothing from
+    the package, so no engine change can move it and a slow reading means
+    the HOST is throttled — it makes a throttled bench window
+    machine-detectable inside the emitted JSON instead of living in
+    BASELINE.md prose.  Quiet-window reference: 0.050-0.057 s on the
+    1-CPU re-anchor host (see BASELINE.md)."""
     import numpy as np
 
-    from matrixprofile_1_ray.kernels.mpx import mpx
-
     rng = np.random.default_rng(7)
-    series = rng.uniform(size=8192)
+    series = rng.uniform(size=1 << 16)
     t0 = time.perf_counter()
-    mpx(series, 32)
+    for _ in range(48):
+        np.cumsum(np.square(np.sort(series)))
     return round(time.perf_counter() - t0, 4)
 
 
@@ -129,7 +128,7 @@ def run_bench() -> dict:
     import ray
 
     # host-state probe BEFORE ray.init (bare host, no Ray-process ambient
-    # load; best-of-3 absorbs the serial kernel's first-call warmup)
+    # load; best-of-3 absorbs the probe's first-call warmup)
     probe_pre = min(throttle_probe() for _ in range(3))
 
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
@@ -327,10 +326,10 @@ def run_bench() -> dict:
         "num_cpus": NUM_CPUS,
         **counters,
         # serial no-Ray CPU probe bracketing the timed section; quiet-window
-        # reference ~0.06-0.09 s — a reading >=0.15 s marks a host
-        # throttle window (see BASELINE.md "Scaling evidence")
+        # reference 0.050-0.057 s — a reading of about twice that marks a
+        # host throttle window (see BASELINE.md "Host probe, re-pinned")
         "probe": {"pre_sec": probe_pre, "post_sec": probe_post,
-                  "kernel": "serial mpx n=8192 w=32",
+                  "kernel": "numpy sort+cumsum n=65536 x48",
                   "quiet_ref_sec": QUIET_PROBE_REF_SEC,
                   "normalization_factor": round(norm_factor, 4)},
         "value_normalized": round(total * norm_factor, 3),
@@ -425,7 +424,7 @@ def run_scaling() -> dict:
         r["probe_post_sec"] = throttle_probe()
         return r
 
-    throttle_probe()  # discard the serial kernel's first-call warmup so
+    throttle_probe()  # discard the probe's first-call warmup so
     # attempts_lo[0].probe_pre_sec reads true host state, not JIT/cache
     # fill — a warmup-inflated first probe would falsely mark a quiet
     # window as throttled in the emitted audit trail
@@ -484,7 +483,7 @@ def run_scaling() -> dict:
         "synth_rows": SCALE_ROWS,
         "protocol": "best-of-3 per lo/hi leg (best-of-2 mid), "
                     "serial-probe bracketed "
-                    "(quiet-window probe reference ~0.06-0.09 s)",
+                    "(quiet-window probe reference 0.050-0.057 s)",
         "attempts_lo": [{k: a[k] for k in
                          ("sec", "probe_pre_sec", "probe_post_sec")}
                         for a in attempts_lo],

@@ -11,9 +11,13 @@ The implementation is a fresh NumPy design: the reference iterates scalar
 operations along each anti-diagonal under OpenMP; here the covariance walk
 along a diagonal is expressed as a cumulative sum, each diagonal is one
 vectorized update, and the per-thread partial-profile merge is replaced by
-sequential ascending-diagonal processing (equivalent because updates use a
-strict ``>``, which the reference's own single/multi-threaded equivalence
-tests prove order-insensitive).
+sequential ascending-diagonal processing.  Profile VALUES do not depend on
+the visiting order; indices at exact ties do, so every self-join path
+applies one explicit law — the larger value wins, then the nearer partner,
+then the smaller index, and an exact -1.0 never replaces the -1 init.
+The NumPy walk gets it from its order (ascending diagonals, column side
+first, strict ``>``); the compiled band walk (kernels/_native.py), which
+meets a column entry's candidates farthest first, applies it explicitly.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from .moving_stats import muinvn
 _EXACT_SDP_LIMIT = 1 << 25
 
 # Self-join dispatch lives in this module only: with the compiled kernels
-# (kernels/_native.py) every self-join runs the compiled walk — one call per
-# batch in mpx_self_batch, the same C precompute for the diagonal fan-out;
-# without a compiler the NumPy walk below runs, doing the same sums in the
-# same order, so both paths return the same bits, tie indices included.
+# (kernels/_native.py) every self-join runs the compiled walk — 64-diagonal
+# vector bands where the host has AVX2, else the scalar walk; one call per
+# batch in mpx_self_batch, the same C precompute for the diagonal fan-out.
+# Without a compiler the NumPy walk below runs, doing the same sums in the
+# same order under the same explicit tie law (closest partner, then the
+# smaller index), so both paths return the same bits, tie indices included.
 
 # Correlations within this margin of 1 snap to exactly 1 (distance 0) in
 # BOTH the direct (mpx_ab) and tiled (tiled_mpx_ab) AB joins.  It must be

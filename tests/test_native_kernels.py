@@ -1,6 +1,9 @@
-"""Compiled-walk parity: the ctypes kernels must match the NumPy diagonal
-path to fp rounding (seed-first vs cumsum-then-seed accumulation), with
-identical neighbor indices on tie-free data."""
+"""Compiled-walk parity.  The self-join walk — 64-diagonal vector bands
+where the host has AVX2, the scalar walk elsewhere — must store the NumPy
+walk's bits, tie indices included, on every diagonal range; the AB-join
+pass matches the NumPy one to fp rounding (seed-first vs
+cumsum-then-seed accumulation), with identical neighbor indices on
+tie-free data."""
 
 import numpy as np
 import pytest
@@ -9,30 +12,34 @@ from matrixprofile_1_ray.kernels import _native
 from matrixprofile_1_ray.kernels.mpx import (
     _ab_one_side,
     _diff_eqs,
+    merge_pearson_partials,
     mpx_ab,
+    mpx_diag_range,
     mpx_precompute,
     mpx_self,
 )
 from matrixprofile_1_ray.kernels.moving_stats import muinvn
 
-pytestmark = pytest.mark.skipif(not _native.AVAILABLE,
-                                reason="no C compiler in this runtime")
+needs_gcc = pytest.mark.skipif(not _native.AVAILABLE,
+                               reason="no C compiler in this runtime")
 
 
 def _numpy_only(monkeypatch):
     monkeypatch.setattr(_native, "AVAILABLE", False)
 
 
+@needs_gcc
 def test_self_join_native_matches_numpy(monkeypatch):
     rng = np.random.default_rng(7)
     ts = np.cumsum(rng.standard_normal(8192))
     mp_c, mpi_c = mpx_self(ts, 32)
     _numpy_only(monkeypatch)
     mp_np, mpi_np = mpx_self(ts, 32)
-    np.testing.assert_allclose(mp_c, mp_np, atol=1e-9)
+    np.testing.assert_array_equal(mp_c, mp_np)
     np.testing.assert_array_equal(mpi_c, mpi_np)
 
 
+@needs_gcc
 def test_ab_join_native_matches_numpy(monkeypatch):
     rng = np.random.default_rng(9)
     ts = np.cumsum(rng.standard_normal(4096))
@@ -46,6 +53,7 @@ def test_ab_join_native_matches_numpy(monkeypatch):
     np.testing.assert_array_equal(got[3], exp[3])
 
 
+@needs_gcc
 def test_ab_native_exclusion_band(monkeypatch):
     """delta/minlag skipping (the tiled self-join band) must match."""
     rng = np.random.default_rng(11)
@@ -76,6 +84,7 @@ def test_ab_native_exclusion_band(monkeypatch):
     np.testing.assert_array_equal(got[3], exp[3])
 
 
+@needs_gcc
 def test_native_diag_range_partial_merge():
     """Range-split + merge equals the full run (the chunked fan-out law)."""
     rng = np.random.default_rng(13)
@@ -96,6 +105,7 @@ def test_native_diag_range_partial_merge():
     np.testing.assert_array_equal(mpi_full, mpi_m)
 
 
+@needs_gcc
 def test_serial_mpx_32768_under_2s():
     """The round-1 per-core deficit (4.8s vs reference 1.555s) is closed:
     serial self-join at n=32768 w=32 must run in <= 2.5s."""
@@ -107,3 +117,129 @@ def test_serial_mpx_32768_under_2s():
     t0 = time.time()
     mpx_self(ts, 32)
     assert time.time() - t0 < 2.5
+
+
+# --- band walk conformance -------------------------------------------------
+
+BAND = 64  # diagonals per band of the compiled walk
+W = 8      # minlag 2: diagonals start at 3
+
+
+def _band_rows():
+    """Tie-heavy shapes and random rows.  Constant windows have sig 0, so
+    plateau rows tie at +0.0 and -0.0 alike: comparing bits also checks
+    which partner's sign of zero was kept."""
+    rng = np.random.default_rng(17)
+    return {
+        "alphabet": lambda n: rng.integers(0, 3, n).astype("d"),
+        "period7": lambda n: np.tile(rng.uniform(size=7), n // 7 + 1)[:n],
+        "plateaus": lambda n: np.repeat(rng.integers(0, 4, n), 6)[:n]
+        .astype("d"),
+        "plateau_noise": lambda n: np.repeat(
+            rng.standard_normal(n), rng.integers(1, 12, n))[:n],
+        "alternating": lambda n: (-1.0) ** np.arange(n),
+        "random": lambda n: rng.standard_normal(n),
+    }
+
+
+def _bits(mp):
+    return np.ascontiguousarray(mp).view(np.int64)
+
+
+def _fresh(pl):
+    return np.full(pl, -1.0), np.full(pl, -1, dtype=np.int64)
+
+
+def _numpy_walk(monkeypatch, ts):
+    """Pearson (mp, mpi) of the NumPy walk over every admissible diagonal."""
+    with monkeypatch.context() as m:
+        m.setattr(_native, "AVAILABLE", False)
+        seed, df, dg, sig, minlag = mpx_precompute(ts, W)
+        mp, mpi = _fresh(sig.shape[0])
+        mpx_diag_range(minlag + 1, sig.shape[0], seed, df, dg, sig, mp, mpi)
+    return mp, mpi
+
+
+# pl below, equal to and just above a band (the first diagonal is 3, so
+# pl 67 holds exactly one band), a band plus a narrower one, several bands
+_BAND_PLS = (40, 64, 66, 67, 68, 70, 71, 134, 150, 700)
+
+
+@pytest.mark.parametrize("name", list(_band_rows()))
+def test_band_walk_matches_numpy_walk(self_join_path, monkeypatch, name):
+    """The full diagonal range, through mpx_self and mpx_diag_range,
+    stores the NumPy walk's bits and indices at every length."""
+    for pl in _BAND_PLS:
+        ts = _band_rows()[name](pl + W - 1)
+        ref_mp, ref_pi = _numpy_walk(monkeypatch, ts)
+        seed, df, dg, sig, minlag = mpx_precompute(ts, W)
+        mp, mpi = _fresh(pl)
+        mpx_diag_range(minlag + 1, pl, seed, df, dg, sig, mp, mpi)
+        np.testing.assert_array_equal(_bits(mp), _bits(ref_mp), err_msg=pl)
+        np.testing.assert_array_equal(mpi, ref_pi, err_msg=pl)
+        got_mp, got_pi = mpx_self(ts, W, cross_correlation=True)
+        np.testing.assert_array_equal(_bits(got_mp),
+                                      _bits(np.minimum(ref_mp, 1.0)))
+        np.testing.assert_array_equal(got_pi, ref_pi)
+
+
+@pytest.mark.parametrize("name", list(_band_rows()))
+def test_band_walk_subranges_merge_exactly(self_join_path, monkeypatch,
+                                           name):
+    """Diagonal ranges whose bounds are not multiples of a band (and some
+    narrower than one vector), each walked from the -1 init and folded
+    with merge_pearson_partials, or walked in turn on one profile, give
+    the full NumPy walk's bits."""
+    pl = 700
+    ts = _band_rows()[name](pl + W - 1)
+    cuts = [3, 4, 6, 9, 70, 131, 200, 263, 264, 391, 600, 697, 699, pl]
+    ranges = list(zip(cuts[:-1], cuts[1:]))
+    ref_mp, ref_pi = _numpy_walk(monkeypatch, ts)
+    seed, df, dg, sig, _ = mpx_precompute(ts, W)
+    folded = _fresh(pl)
+    in_turn = _fresh(pl)
+    for lo, hi in ranges:
+        part = _fresh(pl)
+        mpx_diag_range(lo, hi, seed, df, dg, sig, *part)
+        folded = merge_pearson_partials(folded, part)
+        mpx_diag_range(lo, hi, seed, df, dg, sig, *in_turn)
+    for mp, mpi in (folded, in_turn):
+        np.testing.assert_array_equal(_bits(mp), _bits(ref_mp))
+        np.testing.assert_array_equal(mpi, ref_pi)
+
+
+def test_band_walk_distributed_matches_numpy_walk(ray_session,
+                                                  self_join_path,
+                                                  monkeypatch):
+    """distributed_mpx at 1, 2 and 7 partitions returns the NumPy walk's
+    profile and indices on tie-heavy and random rows several bands long."""
+    from matrixprofile_1_ray.state.chunked import distributed_mpx
+
+    pl = 900
+    for name, draw in _band_rows().items():
+        ts = draw(pl + W - 1)
+        ref_mp, ref_pi = _numpy_walk(monkeypatch, ts)
+        ref_ed = np.sqrt(2.0 * W * (1.0 - np.minimum(ref_mp, 1.0)))
+        for parts in (1, 2, 7):
+            mp, mpi = distributed_mpx(ts, W, n_partitions=parts)
+            np.testing.assert_array_equal(_bits(mp), _bits(ref_ed),
+                                          err_msg=(name, parts))
+            np.testing.assert_array_equal(mpi, ref_pi,
+                                          err_msg=(name, parts))
+
+
+def test_build_tag_covers_source_flags_and_target():
+    """The .so cache key changes with the source, the flags or the host
+    target, so a cache shared by hosts of different ISAs never loads a
+    foreign build; equal inputs give the same key."""
+    src, flags, target = "int f(void);", ["-O2", "-march=native"], "avx2"
+    tag = _native.build_tag(src, flags, target)
+    assert tag == _native.build_tag(src, list(flags), target)
+    assert len(tag) == 16 and int(tag, 16) >= 0
+    others = {
+        _native.build_tag(src + " ", flags, target),
+        _native.build_tag(src, ["-O2"], target),
+        _native.build_tag(src, flags, "avx512f"),
+        _native.build_tag(src, flags, ""),
+    }
+    assert tag not in others and len(others) == 4
