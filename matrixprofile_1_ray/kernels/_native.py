@@ -22,13 +22,25 @@ and ``mpx_precompute_native`` gives the diagonal fan-out
 profile equals the serial one bit for bit, tie indices included.
 
 The self-join walk: a scalar walk of one diagonal is one dependent chain
-of adds (about 4 cycles per cell).  Where the host has AVX2 the walk goes
-64 diagonals at a time in lockstep over the row index (SCAMP's
-diagonal-blocked CPU tiling, Zimmerman et al., SoCC'19): one 4-wide
-vector op updates four chains, the band's column entries are contiguous,
-and the row entry takes one any-lane test: about 2x fewer ns per cell
-than the scalar walk at n = 577-32 768 and 1.6x at n = 300 (one core of an
-AVX-512 Xeon).  Without AVX2 every diagonal runs the scalar walk.
+of adds (about 4 cycles per cell).  Where the host has vectors the walk
+goes 64 diagonals at a time in lockstep over the row index (SCAMP's
+diagonal-blocked CPU tiling, Zimmerman et al., SoCC'19): 8 lanes x 8
+vectors with AVX-512F, 4 x 16 with AVX2, one vector op updating a chain
+per lane.  The band's column entries are contiguous, and the row entry
+takes only the band's best candidate.  ``band_row`` and ``walk_band`` are
+written once, against a small per-ISA shim (lane count, loads and stores,
+compare to bitmask, masked index store, min/max); the AVX-512 shim
+compares into ``__mmask8`` and stores under it through gcc's builtins.
+The precompute's window loops run LANES windows per vector the same way.
+Whole ``mpx_self_batch`` calls, precompute included, w = 32, random-walk
+rows, one core of an AVX-512 Xeon, ns per pl^2/2 cells:
+
+    n            300   577  2 048  8 192  32 768  49 152
+    AVX-512     1.14  0.71   0.51   0.43    0.44    0.45
+    AVX2        1.24  0.89   0.74   0.70    0.68    0.68
+    scalar      2.77  2.43   1.94   1.77    1.66    1.72
+
+Without AVX2 every diagonal runs the scalar walk.
 
 Arithmetic note: the C precompute sums each window directly (mean, then
 squared deviations, exactly zero on constant windows) and seeds every
@@ -100,51 +112,99 @@ static void walk_diag(int64_t d, int64_t j, double c, int64_t pl,
     }
 }
 
-#if defined(__AVX2__)
-#define BAND_VECS 16  /* a band is 64 diagonals, 4 per vector */
-
-/* 4-wide vectors (gcc vector extensions; comparisons give all-ones lanes)
-   and unaligned loads/stores of them */
+/* The vector shim: everything the band walk and the precompute need of
+   the host's vectors, so that both are written once.  A vd holds LANES
+   doubles and a vi LANES int64 indices; arithmetic on them is gcc's vector
+   extension.  GE/GT/EQ compare lanewise into a vmask, which BITS turns
+   into one bit per lane; VMIN(a, b) is a < b ? a : b and VMAX(a, b) is
+   a > b ? a : b per lane (the scalar walk's own selects, NaN included);
+   STORE_IDX stores v's lanes where m is set; VSEL(m, a, b) is m ? a : b.
+   AVX-512 compares straight into a __mmask8 and stores under it, through
+   gcc's builtins (no immintrin.h: parsing it alone takes about 0.17 s,
+   half the build). */
+#if defined(__AVX512F__)
+#define LANES 8
+typedef double vd __attribute__((vector_size(64)));
+typedef long long vi __attribute__((vector_size(64)));
+typedef double vd_u __attribute__((vector_size(64), aligned(8), may_alias));
+typedef unsigned char vmask;
+#define MNONE ((vmask)0)
+/* 0xff: every lane; 4: _MM_FROUND_CUR_DIRECTION */
+#define VCMP(a, b, pred) __builtin_ia32_cmppd512_mask(a, b, pred, 0xff, 4)
+#define GE(a, b) VCMP(a, b, 29) /* _CMP_GE_OQ */
+#define GT(a, b) VCMP(a, b, 30) /* _CMP_GT_OQ */
+#define EQ(a, b) VCMP(a, b, 0)  /* _CMP_EQ_OQ */
+#define BITS(m) ((int)(m))
+#define VMIN(a, b) __builtin_ia32_minpd512_mask(a, b, a, 0xff, 4)
+#define VMAX(a, b) __builtin_ia32_maxpd512_mask(a, b, a, 0xff, 4)
+#define VSQRT(a) __builtin_ia32_sqrtpd512_mask(a, a, 0xff, 4)
+#define VSEL(m, a, b) __builtin_ia32_blendmpd_512_mask(b, a, m)
+#define STORE_IDX(p, m, v) \
+    __builtin_ia32_storedqudi512_mask((long long *)(p), v, m)
+static inline vd vset1(double x) { return (vd){x, x, x, x, x, x, x, x}; }
+static inline vi vset1i(int64_t x) { return (vi){x, x, x, x, x, x, x, x}; }
+#elif defined(__AVX2__)
+#define LANES 4
 typedef double vd __attribute__((vector_size(32)));
 typedef int64_t vi __attribute__((vector_size(32)));
 typedef double vd_u __attribute__((vector_size(32), aligned(8), may_alias));
 typedef int64_t vi_u __attribute__((vector_size(32), aligned(8), may_alias));
-#define LD(p) (*(const vd_u *)(p))
-#define ANY(m) __builtin_ia32_movmskpd256((vd)(m))
+typedef vi vmask; /* all-ones lanes where true */
+#define MNONE ((vmask){0})
+#define GE(a, b) ((a) >= (b))
+#define GT(a, b) ((a) > (b))
+#define EQ(a, b) ((a) == (b))
+#define BITS(m) __builtin_ia32_movmskpd256((vd)(m))
+#define VMIN(a, b) __builtin_ia32_minpd256(a, b)
+#define VMAX(a, b) __builtin_ia32_maxpd256(a, b)
+#define VSQRT(a) __builtin_ia32_sqrtpd256(a)
+#define VSEL(m, a, b) ((vd)(((vi)(a) & (m)) | ((vi)(b) & ~(m))))
+#define STORE_IDX(p, m, v) \
+    (*(vi_u *)(p) = ((m) & (v)) | (~(m) & *(const vi_u *)(p)))
+static inline vd vset1(double x) { return (vd){x, x, x, x}; }
+static inline vi vset1i(int64_t x) { return (vi){x, x, x, x}; }
+#endif
 
-/* Row j of a band walk: lane i of vector v is diagonal k - j + 4 v + i,
-   whose row entry is j and whose column entry is k + 4 v + i. */
+#if defined(LANES)
+#define BAND_VECS (64 / LANES) /* a band is 64 diagonals */
+#define LD(p) (*(const vd_u *)(p))
+#define ST(p, v) (*(vd_u *)(p) = (v))
+
+/* Row j of a band walk: lane i of vector v is diagonal
+   k - j + LANES v + i, whose row entry is j and whose column entry is
+   k + LANES v + i. */
 static inline __attribute__((always_inline)) void
-band_row(int64_t j, int64_t k, int update, int nv, vd *c, vd *corr,
+band_row(int64_t j, int64_t k, int update, int nv, vd *c,
          const double *df, const double *dg, const double *sig,
          double *mp, int64_t *mpi)
 {
-    const vd dfj = (vd){0} + df[j], dgj = (vd){0} + dg[j],
-             sigj = (vd){0} + sig[j], mpj = (vd){0} + mp[j],
-             one = (vd){0} + 1.0;
-    const vi jv = (vi){0} + j;
-    vi hit = (vi){0}, tie = (vi){0};
+    const vd dfj = vset1(df[j]), dgj = vset1(dg[j]), sigj = vset1(sig[j]),
+             mpj = vset1(mp[j]), one = vset1(1.0);
+    const vi jv = vset1i(j);
+    vmask tie = MNONE;
+    vd best = vset1(-INFINITY);
+    /* unrolled, the band's c stays in registers: about 10% fewer ns/cell */
+#pragma GCC unroll 16
     for (int v = 0; v < nv; v++) {
-        const int64_t o = k + 4 * v;
+        const int64_t o = k + LANES * v;
         if (update)
             c[v] += dfj * LD(dg + o) + LD(df + o) * dgj;
-        corr[v] = c[v] * sigj * LD(sig + o);
-        hit |= corr[v] >= mpj;
-        /* minpd(1, x) is x > 1 ? 1 : x and maxpd(cc, m) is
-           cc > m ? cc : m, the scalar walk's own selects, NaN included */
-        vd cc = __builtin_ia32_minpd256(one, corr[v]), m = LD(mp + o);
-        vi gt = cc > m;
-        tie |= cc == m;
-        *(vd_u *)(mp + o) = __builtin_ia32_maxpd256(cc, m);
-        *(vi_u *)(mpi + o) = (gt & jv) | (~gt & *(const vi_u *)(mpi + o));
+        vd corr = c[v] * sigj * LD(sig + o);
+        best = VMAX(corr, best);  /* a NaN corr never counts */
+        /* VMIN(1, x) is x > 1 ? 1 : x, the column entry's clamp */
+        vd cc = VMIN(one, corr), m = LD(mp + o);
+        tie |= EQ(cc, m);
+        ST(mp + o, VMAX(cc, m));
+        STORE_IDX(mpi + o, GT(cc, m), jv);
     }
-    if (ANY(tie)) {
+    if (BITS(tie)) {
         /* an entry a lane just took holds partner j itself, which
            tie_wins never replaces */
         for (int v = 0; v < nv; v++) {
-            const int64_t o = k + 4 * v;
-            vd cc = __builtin_ia32_minpd256(one, corr[v]);
-            for (int bits = ANY(cc == LD(mp + o)); bits; bits &= bits - 1) {
+            const int64_t o = k + LANES * v;
+            vd cc = VMIN(one, c[v] * sigj * LD(sig + o));
+            for (int bits = BITS(EQ(cc, LD(mp + o))); bits;
+                 bits &= bits - 1) {
                 int i = __builtin_ctz(bits);
                 if (tie_wins(o + i, j, mpi[o + i])) {
                     mp[o + i] = cc[i];
@@ -153,60 +213,81 @@ band_row(int64_t j, int64_t k, int update, int nv, vd *c, vd *corr,
             }
         }
     }
-    if (ANY(hit)) {
+    if (BITS(GE(best, mpj))) {
+        /* the row entry's one candidate: the band's largest corr, the
+           lowest lane (nearest partner) among equals; the serial walk,
+           meeting them one by one, keeps the same one */
+        double x = best[0];
+        for (int i = 1; i < LANES; i++)
+            x = best[i] > x ? best[i] : x;
         for (int v = 0; v < nv; v++) {
-            for (int bits = ANY(corr[v] >= mpj); bits; bits &= bits - 1) {
+            const int64_t o = k + LANES * v;
+            vd corr = c[v] * sigj * LD(sig + o);
+            int bits = BITS(EQ(corr, vset1(x)));
+            if (bits) {
                 int i = __builtin_ctz(bits);
-                double x = corr[v][i];
-                int64_t p = k + 4 * v + i;
-                if (x > mp[j] || (x == mp[j] && tie_wins(j, p, mpi[j]))) {
-                    mp[j] = x;
-                    mpi[j] = p;
+                if (corr[i] > mp[j]
+                    || (corr[i] == mp[j] && tie_wins(j, o + i, mpi[j]))) {
+                    mp[j] = corr[i];
+                    mpi[j] = o + i;
                 }
+                break;
             }
         }
     }
 }
 
-/* Diagonals d0 .. d0 + 4 nv - 1 walked in lockstep over the row index j
-   (SCAMP's diagonal-blocked CPU tiling).  Each lane streams its diagonal
+/* band_row at a variable vector count (a band's first row and its tail),
+   compiled once: inlined at both sites it adds about 0.1 s to the build */
+static __attribute__((noinline)) void
+band_row_n(int64_t j, int64_t k, int update, int nv, vd *c,
+           const double *df, const double *dg, const double *sig,
+           double *mp, int64_t *mpi)
+{
+    band_row(j, k, update, nv, c, df, dg, sig, mp, mpi);
+}
+
+/* Diagonals d0 .. d0 + LANES nv - 1 walked in lockstep over the row index
+   j (SCAMP's diagonal-blocked CPU tiling).  Each lane streams its diagonal
    with the scalar walk's own sum order, so every corr has the same bits;
    the band's column entries are contiguous, so the column merge is one
-   compare-and-blend per vector, and the row entry takes one any-lane test
-   and a rare scalar pass.  Ties go through tie_wins: the band reaches a
-   column entry's candidates farthest partner first. */
+   max and masked store per vector, and the row entry takes only the
+   band's best candidate, kept by one max per vector.  Ties go through
+   tie_wins: the band reaches a column entry's candidates farthest partner
+   first. */
 static void walk_band(int64_t d0, int nv, int64_t pl, const double *seed,
                       const double *df, const double *dg, const double *sig,
                       double *mp, int64_t *mpi)
 {
-    vd c[BAND_VECS], corr[BAND_VECS];
+    vd c[BAND_VECS];
     for (int v = 0; v < nv; v++)
-        c[v] = LD(seed + d0 + 4 * v);
-    band_row(0, d0, 0, nv, c, corr, df, dg, sig, mp, mpi);
+        c[v] = LD(seed + d0 + LANES * v);
+    band_row_n(0, d0, 0, nv, c, df, dg, sig, mp, mpi);
     int64_t j = 1;
     if (nv == BAND_VECS)  /* a constant count keeps the band in registers */
-        for (; j < pl - d0 - 4 * BAND_VECS + 1; j++)
-            band_row(j, d0 + j, 1, BAND_VECS, c, corr, df, dg, sig, mp, mpi);
+        for (; j < pl - d0 - LANES * BAND_VECS + 1; j++)
+            band_row(j, d0 + j, 1, BAND_VECS, c, df, dg, sig, mp, mpi);
     /* lane l ends at row pl - d0 - l - 1: the last vector leaves as soon
        as its last lane has ended, and its other lanes finish on the
        scalar walk */
     for (; nv > 0; j++) {
-        if (pl - d0 - j < 4 * nv) {
+        if (pl - d0 - j < LANES * nv) {
             nv--;
-            for (int i = 0; i < 3; i++)
-                walk_diag(d0 + 4 * nv + i, j, c[nv][i], pl, df, dg, sig, mp,
-                          mpi);
+            for (int i = 0; i < LANES - 1; i++)
+                walk_diag(d0 + LANES * nv + i, j, c[nv][i], pl, df, dg, sig,
+                          mp, mpi);
         }
         if (nv > 0)
-            band_row(j, d0 + j, 1, nv, c, corr, df, dg, sig, mp, mpi);
+            band_row_n(j, d0 + j, 1, nv, c, df, dg, sig, mp, mpi);
     }
 }
 #endif
 
 /* Self-join diagonals [d_lo, d_hi) into the Pearson profile (mp, mpi):
-   bands of 64 diagonals where the host has AVX2, one narrower band over
-   the rest, and the scalar walk for the last < 4 diagonals (or for all of
-   them without AVX2).  Every path stores the serial walk's bits. */
+   bands of 64 diagonals where the host has vectors (8 lanes x 8 with
+   AVX-512F, 4 x 16 with AVX2), one narrower band over the rest, and the
+   scalar walk for the last < LANES diagonals (or for all of them without
+   AVX2).  Every path stores the serial walk's bits. */
 void mpx_diag_range_native(int64_t d_lo, int64_t d_hi, const double *seed,
                            const double *df, const double *dg,
                            const double *sig, double *mp, int64_t *mpi,
@@ -215,11 +296,12 @@ void mpx_diag_range_native(int64_t d_lo, int64_t d_hi, const double *seed,
     int64_t d = d_lo;
     if (d_hi > pl)
         d_hi = pl;
-#if defined(__AVX2__)
-    while (d_hi - d >= 4) {
-        int nv = d_hi - d >= 4 * BAND_VECS ? BAND_VECS : (int)(d_hi - d) / 4;
+#if defined(LANES)
+    while (d_hi - d >= LANES) {
+        int nv = d_hi - d >= LANES * BAND_VECS
+                     ? BAND_VECS : (int)(d_hi - d) / LANES;
         walk_band(d, nv, pl, seed, df, dg, sig, mp, mpi);
-        d += 4 * nv;
+        d += LANES * nv;
     }
 #endif
     for (; d < d_hi; d++)
@@ -230,13 +312,37 @@ void mpx_diag_range_native(int64_t d_lo, int64_t d_hi, const double *seed,
    moving mean mu and inverse centered norm sig (each window summed
    directly; sig is exactly 0 on a constant window, like muinvn), the
    df/dg difference terms (cympx.pyx:76-80) and the covariance of every
-   window against window 0 by exact dot products (the diagonal seeds). */
+   window against window 0 by exact dot products (the diagonal seeds).
+   The window loops run LANES consecutive windows per vector, each lane
+   summing its window in the scalar loop's order, and the last < LANES
+   windows in the scalar loop. */
 void mpx_precompute_native(const double *ts, int64_t n, int64_t w,
                            double *mu, double *sig, double *df, double *dg,
                            double *seed)
 {
-    int64_t pl = n - w + 1;
-    for (int64_t i = 0; i < pl; i++) {
+    int64_t pl = n - w + 1, i = 0;
+#if defined(LANES)
+    const vd zero = vset1(0.0), one = vset1(1.0), wv = vset1((double)w);
+    for (; i + LANES <= pl; i += LANES) {
+        const double *x = ts + i;
+        const vd x0 = LD(x);
+        vd s = zero;
+        vmask constant = EQ(x0, x0);  /* all but NaN lanes, as at k = 0 */
+        for (int64_t k = 0; k < w; k++) {
+            s += LD(x + k);
+            constant &= EQ(LD(x + k), x0);
+        }
+        vd m = s / wv, ssq = zero;
+        for (int64_t k = 0; k < w; k++) {
+            vd dev = LD(x + k) - m;
+            ssq += dev * dev;
+        }
+        ssq = VSEL(constant, zero, ssq);
+        ST(mu + i, m);
+        ST(sig + i, VSEL(GT(ssq, zero), one / VSQRT(ssq), zero));
+    }
+#endif
+    for (; i < pl; i++) {
         const double *x = ts + i;
         double s = 0.0;
         int constant = 1;
@@ -258,7 +364,16 @@ void mpx_precompute_native(const double *ts, int64_t n, int64_t w,
         df[j] = 0.5 * (ts[j + w - 1] - ts[j - 1]);
         dg[j] = (ts[j + w - 1] - mu[j]) + (ts[j - 1] - mu[j - 1]);
     }
-    for (int64_t i = 0; i < pl; i++) {
+    i = 0;
+#if defined(LANES)
+    for (; i + LANES <= pl; i += LANES) {
+        vd c = zero;
+        for (int64_t k = 0; k < w; k++)
+            c += LD(ts + i + k) * vset1(ts[k]);
+        ST(seed + i, c - (wv * LD(mu + i)) * vset1(mu[0]));
+    }
+#endif
+    for (; i < pl; i++) {
         double c = 0.0;
         for (int64_t k = 0; k < w; k++)
             c += ts[i + k] * ts[k];
@@ -349,10 +464,11 @@ def _cache_dir() -> str:
     return path
 
 
-# -march=native: the band walk needs AVX2 and compiles only where the host
-# has it, so the build is host-specific (build_tag).  No fast-math and no
-# fused multiply-add (gcc contracts a*b + c where the target has FMA), so
-# every sum rounds like the reference's and the NumPy walk's
+# -march=native: the band walk needs AVX2 (8 lanes with AVX-512F) and
+# compiles only where the host has it, so the build is host-specific
+# (build_tag).  No fast-math and no fused multiply-add (gcc contracts
+# a*b + c where the target has FMA), so every sum rounds like the
+# reference's and the NumPy walk's
 _CFLAGS = ["-O2", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
 
 
@@ -391,27 +507,33 @@ def _build() -> str:
     return so_path
 
 
+def open_kernels(so_path: str):
+    """ctypes handle of a compiled kernel library, its entry points
+    declared."""
+    lib = ctypes.CDLL(so_path)
+    dp = ctypes.POINTER(ctypes.c_double)
+    ip = ctypes.POINTER(ctypes.c_int64)
+    lib.mpx_diag_range_native.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, dp, dp, dp, dp, dp, ip,
+        ctypes.c_int64]
+    lib.mpx_diag_range_native.restype = None
+    lib.ab_one_side_native.argtypes = [
+        dp, dp, dp, dp, dp, dp, dp, dp, ip, dp, ip,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64]
+    lib.ab_one_side_native.restype = None
+    vp, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.mpx_precompute_native.argtypes = [vp, i64, i64] + [vp] * 5
+    lib.mpx_precompute_native.restype = None
+    lib.mpx_self_batch.argtypes = [vp, vp, vp, i64, i64, i64, vp, vp, vp]
+    lib.mpx_self_batch.restype = None
+    return lib
+
+
 def _load():
     global AVAILABLE, _lib
     try:
-        lib = ctypes.CDLL(_build())
-        dp = ctypes.POINTER(ctypes.c_double)
-        ip = ctypes.POINTER(ctypes.c_int64)
-        lib.mpx_diag_range_native.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, dp, dp, dp, dp, dp, ip,
-            ctypes.c_int64]
-        lib.mpx_diag_range_native.restype = None
-        lib.ab_one_side_native.argtypes = [
-            dp, dp, dp, dp, dp, dp, dp, dp, ip, dp, ip,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64]
-        lib.ab_one_side_native.restype = None
-        vp, i64 = ctypes.c_void_p, ctypes.c_int64
-        lib.mpx_precompute_native.argtypes = [vp, i64, i64] + [vp] * 5
-        lib.mpx_precompute_native.restype = None
-        lib.mpx_self_batch.argtypes = [vp, vp, vp, i64, i64, i64, vp, vp, vp]
-        lib.mpx_self_batch.restype = None
-        _lib = lib
+        _lib = open_kernels(_build())
         AVAILABLE = True
     except Exception:
         AVAILABLE = False

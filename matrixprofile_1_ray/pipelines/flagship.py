@@ -11,6 +11,7 @@ chunked-series merge (state/chunked.py).  The token codec
 
 from __future__ import annotations
 
+from ..functions.tokenize import list_column_to_numpy
 from ..sources.sequences import sequences_from_documents
 from ..stages.gapfill import gapfill_batch
 from ..stages.profile import compute_profiles_batch
@@ -112,7 +113,9 @@ def long_row_profile_table(row, w: int):
     dropped or crashing the fan-out kernels."""
     import numpy as np
 
-    ts = np.asarray(row["tokens"][0].as_py(), dtype="d")
+    # zero-copy view of the row's tokens (sliced rows and large_list too)
+    values, offsets = list_column_to_numpy(row["tokens"])
+    ts = np.asarray(values[offsets[0]:offsets[1]], dtype="d")
     if ts.shape[0] < 2 * w:
         return _profile_row_table(row, np.empty(0, "d"),
                                   np.empty(0, np.int64), w, valid=False)

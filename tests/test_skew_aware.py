@@ -4,7 +4,11 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from matrixprofile_1_ray.pipelines.flagship import profiles_skew_aware
+from matrixprofile_1_ray.kernels.mpx import mpx_self
+from matrixprofile_1_ray.pipelines.flagship import (
+    long_row_profile_table,
+    profiles_skew_aware,
+)
 from matrixprofile_1_ray.stages.profile import compute_profiles_batch
 
 W = 16
@@ -235,3 +239,33 @@ def test_skew_aware_route_invariance_fuzz(ray_session):
         want = _normalize(compute_profiles_batch(corpus, w=w).to_pandas())
         assert len(got) == n_rows, (trial, thr)
         _assert_profiles_equal(got, want)
+
+
+def test_long_row_table_reads_sliced_and_large_list_rows(ray_session):
+    """long_row_profile_table takes a row's tokens as a zero-copy view: a
+    row sliced out of a larger table, with list or large_list tokens,
+    gets the serial profile of its own tokens, as read through Python
+    lists."""
+    rng = np.random.default_rng(23)
+    lens = [40, 3000, 70]
+    toks = [rng.integers(0, 50, size=n).tolist() for n in lens]
+    ts = np.asarray(toks[1], dtype="d")
+    want_mp, want_pi = mpx_self(ts, W)
+    for list_type in (pa.list_, pa.large_list):
+        table = pa.table({
+            "doc_id": pa.array(["d0", "d1", "d2"]),
+            "tokens": pa.array(toks, list_type(pa.int32())),
+            "n_tok": pa.array(lens, pa.int32()),
+            "source": pa.array(["s0"] * 3),
+        })
+        row = table.slice(1, 1)
+        # the slice's offsets start past row d0's tokens
+        assert row["tokens"].chunk(0).offsets[0].as_py() == 40
+        assert row["tokens"][0].as_py() == toks[1]
+        got = long_row_profile_table(row, W)
+        assert got["doc_id"].to_pylist() == ["d1"]
+        assert got["valid"].to_pylist() == [True]
+        np.testing.assert_array_equal(np.asarray(got["mp"][0].as_py()),
+                                      want_mp)
+        np.testing.assert_array_equal(np.asarray(got["pi"][0].as_py()),
+                                      want_pi)
