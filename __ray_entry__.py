@@ -233,7 +233,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         — the IVF *build*.  Centroid seeds are the embeddings of the 8
         smallest vec_ids (SQL-replayable: ORDER BY vec_id LIMIT 8; the
         rng-seeded k-means fit is not), pushed through the REAL build —
-        the streaming Assign actor pass and the hive-partitioned persist
+        the streaming assign pass and the hive-partitioned persist
         (stages/ann.build_ivf_index) — then the PERSISTED index is read
         back.  DuckDB recomputes every vector's assignment as argmax
         cosine against the same seeds; ties break to the smaller centroid
@@ -825,7 +825,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """REAL image decode path with a SQL oracle: PPM payloads built
         from ASCII doc text (stages/multimodal.py:
         ascii_ppm_media_from_documents), pushed through the actual netpbm
-        decode + 4x4 grid-luminance featurization in the actor-pool stage
+        decode + 4x4 grid-luminance featurization in the task stage
         — BT.601 integer-weight luma, reduceat cell sums, two exact
         divisions — all bit-reproducible in DuckDB (no rounding)."""
         import ray.data
@@ -2344,7 +2344,7 @@ WHERE list_cosine_similarity(a.emb, b.emb) >= 0.95
 
 def _media_features_sql() -> str:
     """SQL recomputation of the deterministic fake decode
-    (stages/multimodal.DecodeStub): feature d = first 32 bits of
+    (stages/multimodal.media_features_batch): feature d = first 32 bits of
     sha256(payload || str(d)) / 2^32 over the documents-derived payloads."""
     return """
 WITH m AS (

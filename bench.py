@@ -237,8 +237,8 @@ def run_bench() -> dict:
     timed("ann_topk", ann_run)
 
     # 8b. IVF query-side scale point: 10^4 queries against the persisted
-    # partitioned index (probe-set-batched ProbeScan).  The index build is
-    # untimed (one-time corpus pass); reported on its own, excluded from
+    # partitioned index (probe-set-batched probe_scan_batch).  The index
+    # build is untimed (one-time corpus pass); reported on its own, excluded from
     # the headline total (new in round 3 — no round-delta baseline).
     def ann_ivf_q10k(n_q: int = 10000):
         from matrixprofile_1_ray.stages.ann import ivf_index_ident, ivf_topk

@@ -14,8 +14,8 @@ Layers
                Gorilla-XOR codecs, text analysis, dedup hashing).
 ``sources``    dataset constructors (documents->sequences derivation and the
                deterministic synthetic sequences corpus).
-``stages``     Ray Data ``map_batches`` stages (stateless tasks and actor
-               pools) built on the kernels.
+``stages``     Ray Data ``map_batches`` stages (module-level functions run
+               as tasks) built on the kernels.
 ``pipelines``  end-to-end Dataset pipelines (flagship rollup, analyze/compute
                equivalents of the reference entry points).
 ``state``      chunked-series partial-profile merge and per-partition lineage

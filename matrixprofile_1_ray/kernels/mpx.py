@@ -61,6 +61,7 @@ def _seed_products(ts: np.ndarray, query_w: np.ndarray) -> np.ndarray:
     return fft_convolve(ts, query_w)
 
 
+@np.errstate(invalid="ignore")  # inf - inf on a non-finite row -> NaN
 def _diff_eqs(ts: np.ndarray, mu: np.ndarray, w: int):
     """df/dg difference equations (reference cympx.pyx:76-80)."""
     n = ts.shape[0]
@@ -124,6 +125,7 @@ def mpx_self_batch(values, offsets, out_offsets, w: int,
     return mp, mpi
 
 
+@np.errstate(invalid="ignore")  # NaN/inf windows -> NaN, as the C walk
 def mpx_diag_range(d_lo: int, d_hi: int, seed, df, dg, sig, mp, mpi):
     """Process self-join diagonals [d_lo, d_hi) updating (mp, mpi) in
     place with Pearson values.  Partial results over disjoint diagonal
@@ -175,6 +177,7 @@ def mpx_diag_range(d_lo: int, d_hi: int, seed, df, dg, sig, mp, mpi):
     return mp, mpi
 
 
+@np.errstate(invalid="ignore")  # NaN/inf windows -> NaN, as the C loops
 def mpx_precompute(ts, w: int):
     """Shared per-series state for diagonal-partitioned execution:
     (seed, df, dg, sig, minlag).  Built by the same arithmetic as

@@ -2,14 +2,15 @@
 
 Every stage is Arrow-in/Arrow-out (``batch_format="pyarrow"``) and
 vectorized across the rows of a batch; per-series math lives in
-``..kernels``.  Plain functions are stateless tasks; callable classes are
-actor pools holding broadcast or rolling state.
+``..kernels``.  Every stage is a module-level function run as a Ray task;
+broadcast state (query matrices, centroids, series) goes to the object
+store once and reaches the function as a ref in ``fn_kwargs``.
 """
 
 from .profile import compute_profiles_batch, profile_stage
 from .rollup import rollup_batch, rollup_stage, TIERS, mp_rollup_batch
 from .gapfill import gapfill_batch
-from .codec_stage import encode_stage, decode_stage, verify_roundtrip_batch
+from .codec_stage import verify_roundtrip_batch
 from .ann import brute_force_topk, ivf_topk
 from .dedup import exact_dedup, minhash_candidates, embedding_near_dup
 from .discover_stage import (

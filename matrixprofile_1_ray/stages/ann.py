@@ -1,8 +1,9 @@
 """Similarity search over the embeddings table.
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast once
-(``ray.put`` on the driver, fetched in each actor's ``__init__``), each
-batch is one BLAS matmul, per-batch top-k candidates flow into a tiny
+Baseline: brute-force cosine top-k — the query matrix is normalized and
+broadcast once (``ray.put`` on the driver, its ref passed to a module-level
+batch function through ``fn_kwargs`` and fetched per batch), each batch is
+one BLAS matmul, per-batch top-k candidates flow into a tiny
 ``groupby(query_id)`` refine.  The shuffle carries k rows per query per
 batch, never the embeddings.
 
@@ -25,16 +26,6 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.tokenize import list_column_to_numpy
-
-
-def auto_concurrency(cap: int | None = None) -> tuple:
-    """Autoscaling actor-pool bounds sized to the cluster, not a constant —
-    hardcoded caps starve wide machines (round-1 finding)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    hi = max(2, cpus if cap is None else min(cpus, cap))
-    return (1, hi)
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -73,33 +64,28 @@ def strip_schema_metadata(ds):
                           batch_size=None)
 
 
-class BruteForceTopK:
-    """Actor-pool stage: holds the normalized query matrix (fetched once per
-    actor from the broadcast ref) and emits per-batch top-k candidates."""
+def topk_candidates_batch(batch: pa.Table, queries_ref,
+                          k: int = 10) -> pa.Table:
+    """Per-batch top-k candidates of every query against the batch's
+    embeddings; ``queries_ref`` holds the normalized query matrix."""
+    import ray
 
-    def __init__(self, queries_ref, k: int = 10):
-        import ray
-
-        queries = ray.get(queries_ref) if not isinstance(queries_ref, np.ndarray) else queries_ref
-        self.queries = _normalize(np.asarray(queries, dtype="d"))
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _EMPTY_CANDIDATES
-        mat = _normalize(_emb_matrix(batch))
-        sims = self.queries @ mat.T                      # [n_q, n_batch]
-        k = min(self.k, sims.shape[1])
-        top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        n_q = sims.shape[0]
-        qid = np.repeat(np.arange(n_q), k)
-        cand = top.reshape(-1)
-        vec_ids = batch["vec_id"].to_numpy()
-        return pa.table({
-            "query_id": pa.array(qid, pa.int64()),
-            "vec_id": pa.array(vec_ids[cand], pa.int64()),
-            "score": pa.array(sims[qid, cand], pa.float64()),
-        })
+    if len(batch) == 0:
+        return _EMPTY_CANDIDATES
+    queries = ray.get(queries_ref)
+    mat = _normalize(_emb_matrix(batch))
+    sims = queries @ mat.T                               # [n_q, n_batch]
+    k = min(k, sims.shape[1])
+    top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+    n_q = sims.shape[0]
+    qid = np.repeat(np.arange(n_q), k)
+    cand = top.reshape(-1)
+    vec_ids = batch["vec_id"].to_numpy()
+    return pa.table({
+        "query_id": pa.array(qid, pa.int64()),
+        "vec_id": pa.array(vec_ids[cand], pa.int64()),
+        "score": pa.array(sims[qid, cand], pa.float64()),
+    })
 
 
 def _refine_topk(candidates, k: int, num_partitions: int = 32):
@@ -126,19 +112,16 @@ def _refine_topk(candidates, k: int, num_partitions: int = 32):
 
 
 def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
-                     concurrency=None, batch_size: int = 4096):
+                     batch_size: int = 4096):
     """-> (query_id, vec_id, score, rank) global top-k per query."""
     import ray
 
-    if concurrency is None:
-        concurrency = auto_concurrency()
-    queries_ref = ray.put(np.asarray(queries, dtype="d"))
+    queries_ref = ray.put(_normalize(np.asarray(queries, dtype="d")))
 
     candidates = strip_schema_metadata(ds).map_batches(
-        BruteForceTopK,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+        topk_candidates_batch,
+        fn_kwargs={"queries_ref": queries_ref, "k": k},
+        batch_format="pyarrow", batch_size=batch_size)
 
     return _refine_topk(candidates, k)
 
@@ -183,7 +166,7 @@ def seed_centroids_by_vec_id(path: str, n_centroids: int = 8) -> np.ndarray:
     Used by the build-path gate oracle — a DuckDB query can reproduce this
     seed set exactly (ORDER BY vec_id LIMIT n), which the rng-seeded
     k-means fit cannot be, so assignment == argmax-cosine becomes
-    SQL-checkable end to end through the real Assign/persist path."""
+    SQL-checkable end to end through the real assign/persist path."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
@@ -194,6 +177,23 @@ def seed_centroids_by_vec_id(path: str, n_centroids: int = 8) -> np.ndarray:
     order = np.argsort(tab["vec_id"].to_numpy(), kind="stable")
     tab = tab.take(pa.array(order, pa.int64()))
     return _normalize(_emb_matrix(tab))
+
+
+def assign_centroid_batch(batch: pa.Table, centroids_ref) -> pa.Table:
+    """The batch plus its rows' nearest-centroid id (``centroid`` int64);
+    ``centroids_ref`` holds the normalized centroid matrix."""
+    import ray
+
+    # Strip source schema metadata (e.g. parquet pandas metadata): it
+    # makes pa.Schema unhashable, which defeats Ray's block-schema dedup
+    # and logs a warning per batch downstream.
+    batch = batch.replace_schema_metadata(None)
+    if len(batch) == 0:
+        return batch.append_column("centroid", pa.array([], pa.int64()))
+    mat = _normalize(_emb_matrix(batch))
+    assign = np.argmax(mat @ ray.get(centroids_ref).T, axis=1)
+    return batch.append_column("centroid",
+                               pa.array(assign.astype(np.int64)))
 
 
 def build_ivf_index(ds, index_dir: str, n_centroids: int = 16,
@@ -223,7 +223,7 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 16,
         centroids = fit_centroids(sample, n_centroids=n_centroids, seed=seed)
     else:
         # caller-supplied centroids (e.g. the SQL-replayable gate seeds)
-        # still flow through the identical Assign/persist path below
+        # still flow through the identical assign/persist path below
         centroids = _normalize(np.asarray(centroids, dtype="d"))
 
     # a partial dir from a crashed build would get appended to — rebuild
@@ -240,30 +240,12 @@ def build_ivf_index(ds, index_dir: str, n_centroids: int = 16,
         "an IVF index (no _centroids.parquet marker, no centroid=* "
         "partitions)")
 
-    cent_ref = ray.put(centroids)
-
-    class Assign:
-        def __init__(self):
-            self.centroids = ray.get(cent_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # Strip source schema metadata (e.g. parquet pandas metadata):
-            # it makes pa.Schema unhashable, which defeats Ray's block-
-            # schema dedup and logs a warning per batch downstream.
-            batch = batch.replace_schema_metadata(None)
-            if len(batch) == 0:
-                return batch.append_column(
-                    "centroid", pa.array([], pa.int64()))
-            mat = _normalize(_emb_matrix(batch))
-            assign = np.argmax(mat @ self.centroids.T, axis=1)
-            return batch.append_column(
-                "centroid", pa.array(assign.astype(np.int64)))
-
-    # no strip_schema_metadata(ds) wrapper here: Assign already strips
-    # per batch, so the extra pass would be dead weight
+    # no strip_schema_metadata(ds) wrapper here: assign_centroid_batch
+    # already strips per batch, so the extra pass would be dead weight
     (ds
-     .map_batches(Assign, batch_format="pyarrow", batch_size=4096,
-                  concurrency=auto_concurrency())
+     .map_batches(assign_centroid_batch,
+                  fn_kwargs={"centroids_ref": ray.put(centroids)},
+                  batch_format="pyarrow", batch_size=4096)
      .write_parquet(index_dir, partition_cols=["centroid"]))
 
     import pyarrow.parquet as pq
@@ -295,6 +277,45 @@ def load_ivf_centroids(index_dir: str) -> np.ndarray:
                      for v in t["vector"].to_pylist()])[order]
 
 
+def probe_scan_batch(batch: pa.Table, probe_ref, k: int = 10) -> pa.Table:
+    """Per-batch top-k candidates of the queries probing each row's
+    centroid list.  Rows arrive pre-partitioned, so the batch's centroid
+    column (hive key, no recompute) routes them.  ``probe_ref`` holds
+    ``(queries, groups)``: the normalized query matrix and, per distinct
+    probe-set, ``(centroid ids, query indices)``.  Each group pays one row
+    mask and one [n_masked, n_group] BLAS matmul per batch — at 10^5
+    queries a per-query loop would dominate."""
+    import ray
+
+    if len(batch) == 0:
+        return _EMPTY_CANDIDATES
+    queries, groups = ray.get(probe_ref)
+    mat = _normalize(_emb_matrix(batch))
+    assign = batch["centroid"].to_numpy(zero_copy_only=False).astype(np.int64)
+    vec_ids = batch["vec_id"].to_numpy()
+    out_q, out_v, out_s = [], [], []
+    for probe_arr, qidx in groups:
+        mask = np.isin(assign, probe_arr)
+        nm = int(np.count_nonzero(mask))
+        if nm == 0:
+            continue
+        sims = mat[mask] @ queries[qidx].T                # [nm, g]
+        kk = min(k, nm)
+        top = np.argpartition(-sims, kk - 1, axis=0)[:kk]  # [kk, g]
+        rows = top.T.reshape(-1)                          # per-query blocks
+        cols = np.repeat(np.arange(len(qidx)), kk)
+        out_q.append(np.repeat(qidx, kk))
+        out_v.append(vec_ids[mask][rows])
+        out_s.append(sims[rows, cols])
+    if not out_q:
+        return _EMPTY_CANDIDATES
+    return pa.table({
+        "query_id": pa.array(np.concatenate(out_q), pa.int64()),
+        "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
+        "score": pa.array(np.concatenate(out_s), pa.float64()),
+    })
+
+
 def ivf_search(index_dir: str, queries: np.ndarray, k: int = 10,
                nprobe: int = 4):
     """Query a built IVF index: read ONLY the nprobe-probed centroid
@@ -310,70 +331,24 @@ def ivf_search(index_dir: str, queries: np.ndarray, k: int = 10,
     nprobe = min(nprobe, len(centroids))
     probes = np.argsort(-(queries @ centroids.T), axis=1)[:, :nprobe]
     probe_union = {str(c) for c in probes.ravel()}
-    probe_sets = [set(row) for row in probes]
+    # queries grouped by identical probe-set: the per-batch loop runs over
+    # the handful of distinct probe-sets, not over the queries
+    by_set: dict = {}
+    for qi, probe in enumerate(probes):
+        by_set.setdefault(frozenset(probe), []).append(qi)
+    groups = [(np.fromiter(fs, dtype=np.int64),
+               np.asarray(qis, dtype=np.int64))
+              for fs, qis in by_set.items()]
 
     pf = PathPartitionFilter.of(
         lambda kv: kv.get("centroid") in probe_union, style="hive")
     ds = ray.data.read_parquet(index_dir, partition_filter=pf,
                                file_extensions=["parquet"])
 
-    queries_ref = ray.put(queries)
-    probes_ref = ray.put(probe_sets)
-
-    class ProbeScan:
-        """Rows arrive pre-partitioned — the batch's centroid column (hive
-        key, no recompute) routes them to the queries probing that list.
-        Queries are GROUPED BY identical probe-set once per actor: each
-        group pays one row mask + one [n_masked, n_group] BLAS matmul per
-        batch, so the per-batch loop runs over the handful of distinct
-        probe-sets (bounded by nprobe-of-n_centroids combinations), not
-        over the queries — at 10^5 queries a per-query loop dominates."""
-
-        def __init__(self):
-            self.queries = ray.get(queries_ref)
-            probe_sets = ray.get(probes_ref)
-            by_set: dict = {}
-            for qi, probe in enumerate(probe_sets):
-                by_set.setdefault(frozenset(probe), []).append(qi)
-            self.groups = [
-                (np.fromiter(fs, dtype=np.int64),
-                 np.asarray(qis, dtype=np.int64))
-                for fs, qis in by_set.items()
-            ]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return _EMPTY_CANDIDATES
-            mat = _normalize(_emb_matrix(batch))
-            assign = batch["centroid"].to_numpy(zero_copy_only=False).astype(np.int64)
-            vec_ids = batch["vec_id"].to_numpy()
-            out_q, out_v, out_s = [], [], []
-            for probe_arr, qidx in self.groups:
-                mask = np.isin(assign, probe_arr)
-                nm = int(np.count_nonzero(mask))
-                if nm == 0:
-                    continue
-                sims = mat[mask] @ self.queries[qidx].T      # [nm, g]
-                kk = min(k, nm)
-                top = np.argpartition(-sims, kk - 1, axis=0)[:kk]  # [kk, g]
-                rows = top.T.reshape(-1)                      # per-query blocks
-                cols = np.repeat(np.arange(len(qidx)), kk)
-                out_q.append(np.repeat(qidx, kk))
-                out_v.append(vec_ids[mask][rows])
-                out_s.append(sims[rows, cols])
-            if not out_q:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 "vec_id": pa.array([], pa.int64()),
-                                 "score": pa.array([], pa.float64())})
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "score": pa.array(np.concatenate(out_s), pa.float64()),
-            })
-
-    candidates = ds.map_batches(ProbeScan, batch_format="pyarrow",
-                                batch_size=4096,
-                                concurrency=auto_concurrency())
+    candidates = ds.map_batches(
+        probe_scan_batch,
+        fn_kwargs={"probe_ref": ray.put((queries, groups)), "k": k},
+        batch_format="pyarrow", batch_size=4096)
 
     return _refine_topk(candidates, k)
 

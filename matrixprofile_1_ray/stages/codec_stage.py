@@ -1,7 +1,7 @@
-"""Compression stages: tokens <-> Gorilla-style binary columns.
+"""Codec batch functions: tokens <-> Gorilla-style binary columns.
 
-``encode_stage`` replaces the ragged tokens column with an Arrow binary
-column (one compressed stream per row); ``decode_stage`` inverts it.
+``encode_batch`` replaces the ragged tokens column with an Arrow binary
+column (one compressed stream per row); ``decode_batch`` inverts it.
 ``verify_roundtrip_batch`` asserts decode(encode(tokens)) == tokens per row;
 no pipeline runs it (the store keeps rollups only), and tests/test_codec.py
 checks the invariant over every gap-filled row of the test corpora.
@@ -51,12 +51,3 @@ def verify_roundtrip_batch(batch: pa.Table, value_col: str = "tokens") -> pa.Tab
         blobs.append(blob)
     return batch.append_column("tokens_enc", pa.array(blobs, type=pa.binary()))
 
-
-def encode_stage(ds, **kwargs):
-    return ds.map_batches(lambda b: encode_batch(b, **kwargs),
-                          batch_format="pyarrow")
-
-
-def decode_stage(ds, **kwargs):
-    return ds.map_batches(lambda b: decode_batch(b, **kwargs),
-                          batch_format="pyarrow")

@@ -221,8 +221,6 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
     non-candidate docs never shuffle."""
     import ray
 
-    from .ann import auto_concurrency
-
     # the pair table is orders of magnitude smaller than the corpus, and
     # it is consumed twice below (candidate-id collection + pair halves) —
     # materialize so a lazy pairs pipeline (e.g. the full LSH candidate
@@ -235,30 +233,7 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
                 pd.concat([df["doc_a"], df["doc_b"]], ignore_index=True))}),
             batch_format="pandas").iter_batches(batch_format="pandas"):
         cand_ids.update(b["doc_id"])
-    ids_ref = ray.put(sorted(cand_ids))
-
-    class ShingleSide:
-        """Actor-pool stage: the candidate-id set deserializes ONCE per
-        actor (not per batch) into an Arrow value set; per batch the
-        filter is one vectorized ``pc.is_in`` on the Arrow column."""
-
-        def __init__(self):
-            self.keep = pa.array(ray.get(ids_ref), pa.string())
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            mask = pc.is_in(batch["doc_id"], value_set=self.keep)
-            sub = batch.filter(mask)
-            values, offsets = list_column_to_numpy(sub["tokens"])
-            flat, sh_off = shingle_hashes(values, offsets, k=k)
-            # shingle sets travel as BYTES, not ndarrays: Ray's pandas
-            # tensor extension rejects object columns of ndarrays during
-            # sort-shuffle block merges
-            return _jaccard_side(
-                "s", num_partitions, doc_id=sub["doc_id"],
-                shingles=[flat[sh_off[i] : sh_off[i + 1]].tobytes()
-                          for i in range(len(sub))])
+    keep_ref = ray.put(pa.array(sorted(cand_ids), pa.string()))
 
     def pair_halves(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -272,8 +247,11 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
             slot=["a"] * len(a) + ["b"] * len(a),
             doc_id=pa.concat_arrays([a, b]))
 
-    both = (sequences_ds.map_batches(ShingleSide, batch_format="pyarrow",
-                                     concurrency=auto_concurrency())
+    both = (sequences_ds.map_batches(
+                shingle_side_batch,
+                fn_kwargs={"keep_ref": keep_ref, "k": k,
+                           "num_partitions": num_partitions},
+                batch_format="pyarrow")
             .union(pairs_ds.map_batches(pair_halves, batch_format="pyarrow")))
 
     def attach(g: pd.DataFrame) -> pd.DataFrame:
@@ -309,6 +287,28 @@ def verify_jaccard_bucketed(pairs_ds, sequences_ds, k: int = 5,
         })
 
     return attached.groupby("_part").map_groups(judge, batch_format="pandas")
+
+
+def shingle_side_batch(batch: pa.Table, keep_ref, k: int = 5,
+                       num_partitions: int = 16) -> pa.Table:
+    """The shingle side of the Jaccard-verify union: (doc_id, shingles)
+    rows for the batch's candidate docs.  ``keep_ref`` holds the
+    candidate doc ids as an Arrow string array, so the filter is one
+    vectorized ``pc.is_in`` on the Arrow column."""
+    import pyarrow.compute as pc
+    import ray
+
+    sub = batch.filter(pc.is_in(batch["doc_id"],
+                                value_set=ray.get(keep_ref)))
+    values, offsets = list_column_to_numpy(sub["tokens"])
+    flat, sh_off = shingle_hashes(values, offsets, k=k)
+    # shingle sets travel as BYTES, not ndarrays: Ray's pandas tensor
+    # extension rejects object columns of ndarrays during sort-shuffle
+    # block merges
+    return _jaccard_side(
+        "s", num_partitions, doc_id=sub["doc_id"],
+        shingles=[flat[sh_off[i] : sh_off[i + 1]].tobytes()
+                  for i in range(len(sub))])
 
 
 # One schema for both sides of the Jaccard-verify union; each side fills

@@ -172,9 +172,8 @@ def broadcast_semi_join(ds, key_values, key, anti: bool = False):
 
     def filt(batch: pa.Table) -> pa.Table:
         # Arrow-native: zero-copy block in, one vectorized pc.is_in, and
-        # the value set deserializes from the object store per task (the
-        # actor-pool __init__ variant in dedup.ShingleSide amortizes even
-        # that when the stage is hot)
+        # the value set deserializes from the object store per batch
+        # (dedup.shingle_side_batch broadcasts a ready Arrow array instead)
         import pyarrow.compute as pc
 
         # explicit type: an empty key set would otherwise infer the null

@@ -2,7 +2,7 @@
 
 Image/audio/video travel as Arrow ``binary`` columns with sidecar metadata
 (mime, width/height or sample rate, frame count).  Decode / feature-extract
-/ resize / frame-sample run as actor-pool ``map_batches`` stages.
+/ resize / frame-sample run as ``map_batches`` task stages.
 
 Self-contained formats — netpbm PPM/PGM, uncompressed BMP, PCM WAV,
 8-bit PNG (stdlib zlib inflate + vectorized unfiltering), and baseline
@@ -10,10 +10,10 @@ JPEG (pure-NumPy entropy decode + IDCT, functions/jpeg_codec.py) — are
 REALLY decoded, featurized and resampled (no external library needed).
 Formats whose codecs genuinely require libraries absent from this
 container (video/MP4, progressive JPEG) go through the honest stub:
-``DecodeStub`` either raises ``NotImplementedError`` (strict mode) or
-produces a deterministic fake decode keyed on the payload hash (test
-mode).  Swap ``_decode_payload``'s fallback for a real PIL/libav call on
-a cluster that has the libraries — nothing else changes.
+``media_features_batch`` either raises ``NotImplementedError`` (strict
+mode) or produces a deterministic fake decode keyed on the payload hash
+(test mode).  Swap ``_decode_payload``'s fallback for a real PIL/libav
+call on a cluster that has the libraries — nothing else changes.
 """
 
 from __future__ import annotations
@@ -232,76 +232,73 @@ def ascii_wav_media_from_documents(sf_dir: str, n: int = 64,
     })
 
 
-class DecodeStub:
-    """Actor-pool decode stage.  Self-contained formats (PPM/PGM/BMP/WAV)
-    and PNG are REALLY decoded and featurized — grid luminance means for
-    images, segment RMS energy for audio.  For everything else strict=True raises
-    (the honest stub) and strict=False emits a deterministic fake feature
-    vector per payload so downstream stages are testable end-to-end."""
+def _decode_payload(payload: bytes, mime: str, feature_dim: int,
+                    strict: bool) -> np.ndarray:
+    try:
+        decoded = decode_any(mime, payload)
+    except Exception:
+        # corrupt payload of a self-contained format: strict mode
+        # surfaces the codec error (honest), test mode falls back to
+        # the deterministic stub so the stage never dies mid-stream
+        if strict:
+            raise
+        decoded = None
+    if decoded is not None:
+        kind, value = decoded
+        if kind == "image":
+            return image_features(value, feature_dim)
+        samples, _rate = value
+        return audio_features(samples, feature_dim)
+    if strict:
+        raise NotImplementedError(
+            f"no codec for {mime!r} in this container; PPM/PGM/BMP/WAV/"
+            "PNG/JPEG decode natively — plug a real decoder here for "
+            "the rest (PIL.Image.open / av.open)")
+    # feature d = first 32 bits of sha256(payload || str(d)), scaled to
+    # [0, 1).  Division by 2^32 is exact in float64, so the fake decode
+    # is bit-reproducible in ANY engine with sha256 — the gate's DuckDB
+    # oracle recomputes these values in SQL.
+    vals = [int(hashlib.sha256(payload + str(d).encode())
+                .hexdigest()[:8], 16) for d in range(feature_dim)]
+    return np.asarray(vals, dtype=np.float64) / 4294967296.0
 
-    def __init__(self, feature_dim: int = 16, strict: bool = False):
-        self.feature_dim = feature_dim
-        self.strict = strict
 
-    def _decode_payload(self, payload: bytes, mime: str) -> np.ndarray:
-        try:
-            decoded = decode_any(mime, payload)
-        except Exception:
-            # corrupt payload of a self-contained format: strict mode
-            # surfaces the codec error (honest), test mode falls back to
-            # the deterministic stub so the stage never dies mid-stream
-            if self.strict:
-                raise
-            decoded = None
-        if decoded is not None:
-            kind, value = decoded
-            if kind == "image":
-                return image_features(value, self.feature_dim)
-            samples, _rate = value
-            return audio_features(samples, self.feature_dim)
-        if self.strict:
-            raise NotImplementedError(
-                f"no codec for {mime!r} in this container; PPM/PGM/BMP/WAV/"
-                "PNG/JPEG decode natively — plug a real decoder here for "
-                "the rest (PIL.Image.open / av.open)")
-        # feature d = first 32 bits of sha256(payload || str(d)), scaled to
-        # [0, 1).  Division by 2^32 is exact in float64, so the fake decode
-        # is bit-reproducible in ANY engine with sha256 — the gate's DuckDB
-        # oracle recomputes these values in SQL.
-        vals = [int(hashlib.sha256(payload + str(d).encode())
-                    .hexdigest()[:8], 16) for d in range(self.feature_dim)]
-        return np.asarray(vals, dtype=np.float64) / 4294967296.0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            # np.stack([]) raises; empty blocks pass through typed-empty
-            return pa.table({
-                "media_id": batch["media_id"],
-                "mime": batch["mime"],
-                "features": pa.array([], pa.list_(pa.float64())),
-            })
-        feats = np.stack([self._decode_payload(p.as_py(), m)
-                          for p, m in zip(batch["payload"].combine_chunks(),
-                                          batch["mime"].to_pylist())])
-        off = pa.array(np.arange(len(batch) + 1, dtype=np.int32)
-                       * self.feature_dim, pa.int32())
+def media_features_batch(batch: pa.Table, feature_dim: int = 16,
+                         strict: bool = False) -> pa.Table:
+    """(media_id, mime, features) per payload.  Self-contained formats
+    (PPM/PGM/BMP/WAV) and PNG/JPEG are REALLY decoded and featurized —
+    grid luminance means for images, segment RMS energy for audio.  For
+    everything else strict=True raises (the honest stub) and strict=False
+    emits a deterministic fake feature vector per payload so downstream
+    stages are testable end-to-end."""
+    if len(batch) == 0:
+        # np.stack([]) raises; empty blocks pass through typed-empty
         return pa.table({
             "media_id": batch["media_id"],
             "mime": batch["mime"],
-            "features": pa.ListArray.from_arrays(
-                off, pa.array(feats.reshape(-1), pa.float64())),
+            "features": pa.array([], pa.list_(pa.float64())),
         })
+    feats = np.stack([_decode_payload(p.as_py(), m, feature_dim, strict)
+                      for p, m in zip(batch["payload"].combine_chunks(),
+                                      batch["mime"].to_pylist())])
+    off = pa.array(np.arange(len(batch) + 1, dtype=np.int32) * feature_dim,
+                   pa.int32())
+    return pa.table({
+        "media_id": batch["media_id"],
+        "mime": batch["mime"],
+        "features": pa.ListArray.from_arrays(
+            off, pa.array(feats.reshape(-1), pa.float64())),
+    })
 
 
 def media_features_stage(ds, feature_dim: int = 16, strict: bool = False,
-                         concurrency=(1, 4), batch_size: int = 32):
-    """Binary payloads are large: small batches, actor pool, Arrow-only
-    (binary columns do not survive pandas round-trips)."""
+                         batch_size: int = 32):
+    """Binary payloads are large: small batches, Arrow-only (binary
+    columns do not survive pandas round-trips)."""
     return ds.map_batches(
-        DecodeStub,
-        fn_constructor_kwargs={"feature_dim": feature_dim, "strict": strict},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+        media_features_batch,
+        fn_kwargs={"feature_dim": feature_dim, "strict": strict},
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 _NETPBM_MIMES = {"image/x-portable-pixmap", "image/x-portable-graymap"}
@@ -318,102 +315,88 @@ def _clamp_dims(w: int, h: int, max_w: int, max_h: int) -> tuple[int, int]:
             max(1, int(np.floor(h * scale))) if h > 0 else 0)
 
 
-class ResizeStub:
-    """Resize as an actor-pool stage: netpbm, PNG, and baseline JPEG
-    payloads are REALLY resampled (decode -> nearest-neighbor ->
-    re-encode, pure NumPy + zlib) using the header's actual dims; other
-    formats have their declared metadata clamped to fit inside
-    ``(max_w, max_h)`` aspect-preserved while the payload passes through
-    opaque (strict mode raises instead — no video codec in this
-    container; swap the fallback for a real ``PIL.Image.resize`` /
-    ``av`` on a cluster that has them)."""
+def _resize_payload(payload: bytes, mime: str, w: int, h: int,
+                    max_w: int, max_h: int,
+                    strict: bool) -> tuple[bytes, int, int]:
+    """-> (payload, new_w, new_h); real pixels for netpbm/PNG/JPEG,
+    declared metadata clamp otherwise."""
+    if (mime in _NETPBM_MIMES or mime == "image/png"
+            or mime == "image/jpeg"):
+        try:
+            if mime == "image/png":
+                from ..functions.media_codec import decode_png, encode_png
 
-    def __init__(self, max_w: int = 224, max_h: int = 224,
-                 strict: bool = False):
-        self.max_w = int(max_w)
-        self.max_h = int(max_h)
-        self.strict = strict
+                img = decode_png(payload)
+                encode = encode_png
+            elif mime == "image/jpeg":
+                from ..functions.jpeg_codec import decode_jpeg, encode_jpeg
 
-    def _resize_payload(self, payload: bytes, mime: str,
-                        w: int, h: int) -> tuple[bytes, int, int]:
-        """-> (payload, new_w, new_h); real pixels for netpbm/PNG/JPEG,
-        declared metadata clamp otherwise."""
-        if (mime in _NETPBM_MIMES or mime == "image/png"
-                or mime == "image/jpeg"):
-            try:
-                if mime == "image/png":
-                    from ..functions.media_codec import (
-                        decode_png,
-                        encode_png,
-                    )
+                img = decode_jpeg(payload)
+                encode = encode_jpeg
+            else:
+                img = decode_ppm(payload)
+                encode = encode_ppm
+            ih, iw = img.shape[:2]      # trust the header, not sidecar
+            nw, nh = _clamp_dims(iw, ih, max_w, max_h)
+            if (nw, nh) != (iw, ih) and min(ih, iw, nh, nw) > 0:
+                img = resize_nearest(img, nw, nh)
+                return encode(img), nw, nh
+            # unchanged or degenerate (zero-area, unresampleable) raster:
+            # payload untouched, so the emitted metadata must be the
+            # HEADER's dims — clamping it would contradict the payload
+            # this very stage says to trust
+            return payload, iw, ih
+        except Exception:
+            if strict:
+                raise       # corrupt payload: surface the codec error
+            # fall through to the opaque metadata-only clamp
+    elif strict:
+        raise NotImplementedError(
+            f"no codec for {mime!r} in this container; netpbm/PNG/JPEG "
+            "resample natively — plug a real resampler here for the "
+            "rest (PIL.Image.open(...).resize(...))")
+    nw, nh = _clamp_dims(int(w), int(h), max_w, max_h)
+    return payload, nw, nh  # opaque pass-through, metadata-only clamp
 
-                    img = decode_png(payload)
-                    encode = encode_png
-                elif mime == "image/jpeg":
-                    from ..functions.jpeg_codec import (
-                        decode_jpeg,
-                        encode_jpeg,
-                    )
 
-                    img = decode_jpeg(payload)
-                    encode = encode_jpeg
-                else:
-                    img = decode_ppm(payload)
-                    encode = encode_ppm
-                ih, iw = img.shape[:2]      # trust the header, not sidecar
-                nw, nh = _clamp_dims(iw, ih, self.max_w, self.max_h)
-                if (nw, nh) != (iw, ih) and min(ih, iw, nh, nw) > 0:
-                    img = resize_nearest(img, nw, nh)
-                    return encode(img), nw, nh
-                # unchanged or degenerate (zero-area, unresampleable)
-                # raster: payload untouched, so the emitted metadata must
-                # be the HEADER's dims — clamping it would contradict the
-                # payload this very stage says to trust
-                return payload, iw, ih
-            except Exception:
-                if self.strict:
-                    raise       # corrupt payload: surface the codec error
-                # fall through to the opaque metadata-only clamp
-        elif self.strict:
-            raise NotImplementedError(
-                f"no codec for {mime!r} in this container; netpbm/PNG/JPEG "
-                "resample natively — plug a real resampler here for the "
-                "rest (PIL.Image.open(...).resize(...))")
-        nw, nh = _clamp_dims(int(w), int(h), self.max_w, self.max_h)
-        return payload, nw, nh  # opaque pass-through, metadata-only clamp
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
-        payloads, new_w, new_h = [], [], []
-        for p, m, w, h in zip(batch["payload"].combine_chunks(),
-                              batch["mime"].to_pylist(),
-                              batch["width"].to_pylist(),
-                              batch["height"].to_pylist()):
-            body, nw, nh = self._resize_payload(p.as_py(), m,
-                                                w or 0, h or 0)
-            payloads.append(body)
-            new_w.append(nw)
-            new_h.append(nh)
-        out = batch.set_column(batch.schema.get_field_index("payload"),
-                               "payload", pa.array(payloads, pa.binary()))
-        out = out.set_column(out.schema.get_field_index("width"), "width",
-                             pa.array(new_w, pa.int32()))
-        return out.set_column(out.schema.get_field_index("height"), "height",
-                              pa.array(new_h, pa.int32()))
+def resize_batch(batch: pa.Table, max_w: int = 224, max_h: int = 224,
+                 strict: bool = False) -> pa.Table:
+    """Resize every payload to fit inside ``(max_w, max_h)``: netpbm, PNG
+    and baseline JPEG payloads are REALLY resampled (decode ->
+    nearest-neighbor -> re-encode, pure NumPy + zlib) using the header's
+    actual dims; other formats have their declared metadata clamped,
+    aspect-preserved, while the payload passes through opaque (strict
+    mode raises instead — no video codec in this container; swap the
+    fallback for a real ``PIL.Image.resize`` / ``av`` on a cluster that
+    has them)."""
+    if len(batch) == 0:
+        return batch
+    payloads, new_w, new_h = [], [], []
+    for p, m, w, h in zip(batch["payload"].combine_chunks(),
+                          batch["mime"].to_pylist(),
+                          batch["width"].to_pylist(),
+                          batch["height"].to_pylist()):
+        body, nw, nh = _resize_payload(p.as_py(), m, w or 0, h or 0,
+                                       int(max_w), int(max_h), strict)
+        payloads.append(body)
+        new_w.append(nw)
+        new_h.append(nh)
+    out = batch.set_column(batch.schema.get_field_index("payload"),
+                           "payload", pa.array(payloads, pa.binary()))
+    out = out.set_column(out.schema.get_field_index("width"), "width",
+                         pa.array(new_w, pa.int32()))
+    return out.set_column(out.schema.get_field_index("height"), "height",
+                          pa.array(new_h, pa.int32()))
 
 
 def resize_stage(ds, max_w: int = 224, max_h: int = 224,
-                 strict: bool = False, concurrency=(1, 4),
-                 batch_size: int = 32):
-    """Actor-pool resize over a media Dataset (small batches — payloads
-    are large; same sizing rationale as :func:`media_features_stage`)."""
+                 strict: bool = False, batch_size: int = 32):
+    """Resize over a media Dataset (small batches — payloads are large;
+    same sizing rationale as :func:`media_features_stage`)."""
     return ds.map_batches(
-        ResizeStub,
-        fn_constructor_kwargs={"max_w": max_w, "max_h": max_h,
-                               "strict": strict},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+        resize_batch,
+        fn_kwargs={"max_w": max_w, "max_h": max_h, "strict": strict},
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def frame_sample_batch(batch: pa.Table, every: int = 10) -> pa.Table:

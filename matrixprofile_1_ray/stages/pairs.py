@@ -3,7 +3,7 @@ matrix, hierarchical clustering.
 
 Scale design (vs the reference's corpus-in-memory pairwise_dist.py:36-101):
 each series is its own object-store entry (``ray.put`` per doc, once), so a
-pair task fetches exactly the two series it needs — no whole-corpus
+batch of pairs fetches only the series its pairs name — no whole-corpus
 broadcast; the i<j pair table is GENERATED INSIDE tasks from the id list
 (never enumerated on the driver), or supplied as a Dataset (e.g. LSH
 candidates from stages/dedup.py) when all-pairs is too many."""
@@ -20,13 +20,12 @@ from ..functions.tokenize import (
 )
 from ..kernels.hierarchical import hierarchical_clusters
 from ..kernels.mpdist import mpdist
-from .ann import auto_concurrency
 
 
 def _series_refs(sequences: pa.Table) -> dict:
-    """One object-store entry PER SERIES (not one corpus dict): a pair task
-    fetches only its two operands, and the object store spills what no task
-    currently needs."""
+    """One object-store entry PER SERIES (not one corpus dict): a batch of
+    pairs fetches only its operands, and the object store spills what no
+    task currently needs."""
     import ray
 
     values, offsets = list_column_to_numpy(sequences["tokens"])
@@ -88,29 +87,30 @@ def mpdist_pairs(sequences: pa.Table, w: int, threshold: float = 0.05,
             "doc_b": pa.array([p[1] for p in pairs], pa.string()),
         }))
 
-    class PairDist:
-        """Fetches per-pair series by ref with a bounded per-actor cache —
-        repeated operands (each doc appears in M-1 pairs) hit the cache or
-        the local object store, not the wire."""
+    return pairs_ds.map_batches(
+        pair_dist_batch,
+        fn_kwargs={"refs_ref": refs_ref, "w": w, "threshold": threshold},
+        batch_format="pyarrow", batch_size=batch_size)
 
-        def __init__(self):
-            from ..state.refcache import RefCache
 
-            self.series = RefCache(ray.get(refs_ref), max_items=1024)
+def pair_dist_batch(batch: pa.Table, refs_ref, w: int,
+                    threshold: float = 0.05) -> pa.Table:
+    """The batch of (doc_a, doc_b) pairs plus their ``mpdist``.
+    ``refs_ref`` holds the doc_id -> series-ref dict; the batch's distinct
+    operands come in one ``ray.get`` (each doc appears in many pairs).  A
+    series shorter than ``w`` has no window to match, so its pairs get
+    ``inf`` — the "no edge" value :func:`condensed_from_pairs` fills."""
+    import ray
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            dists = [
-                mpdist(self.series.get(a), self.series.get(b), w,
-                       threshold=threshold)
-                for a, b in zip(batch["doc_a"].to_pylist(),
-                                batch["doc_b"].to_pylist())
-            ]
-            return batch.append_column("mpdist",
-                                       pa.array(dists, pa.float64()))
-
-    return pairs_ds.map_batches(PairDist, batch_format="pyarrow",
-                                batch_size=batch_size,
-                                concurrency=auto_concurrency())
+    docs_a = batch["doc_a"].to_pylist()
+    docs_b = batch["doc_b"].to_pylist()
+    refs = ray.get(refs_ref)
+    ids = list(dict.fromkeys(docs_a + docs_b))
+    series = dict(zip(ids, ray.get([refs[d] for d in ids])))
+    dists = [mpdist(series[a], series[b], w, threshold=threshold)
+             if min(len(series[a]), len(series[b])) >= w else np.inf
+             for a, b in zip(docs_a, docs_b)]
+    return batch.append_column("mpdist", pa.array(dists, pa.float64()))
 
 
 def condensed_from_pairs(pairs_df, ids, value_col: str = "mpdist",
@@ -160,34 +160,39 @@ def ab_join_stage(ds, query: np.ndarray, w: int):
     (reference cympx.pyx:122-284 semantics per row)."""
     import ray
 
+    return ds.map_batches(
+        ab_join_batch,
+        fn_kwargs={"query_ref": ray.put(np.asarray(query, dtype="d")),
+                   "w": w},
+        batch_format="pyarrow")
+
+
+def ab_join_batch(batch: pa.Table, query_ref, w: int) -> pa.Table:
+    """(doc_id, w, mp, pi) AB-join profile of each row against the query
+    series in ``query_ref``; rows (or a query) shorter than ``w`` are
+    dropped."""
+    import ray
+
     from ..kernels.mpx import mpx_ab
 
-    query_ref = ray.put(np.asarray(query, dtype="d"))
-
-    class ABJoin:
-        def __init__(self):
-            self.query = ray.get(query_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            values, offsets = list_column_to_numpy(batch["tokens"])
-            out_mp, out_pi, keep = [], [], []
-            for i in range(len(batch)):
-                ts = values[offsets[i] : offsets[i + 1]].astype("d")
-                if ts.shape[0] < w or self.query.shape[0] < w:
-                    continue
-                mp, mpi, _mpb, _mpib = mpx_ab(ts, self.query, w)
-                out_mp.append(mp)
-                out_pi.append(mpi)
-                keep.append(i)
-            take = pa.array(np.array(keep, dtype=np.int64), pa.int64())
-            return pa.table({
-                "doc_id": batch["doc_id"].take(take),
-                "w": pa.array(np.full(len(keep), w, np.int32)),
-                "mp": list_column_from_parts(out_mp, pa.float64()),
-                "pi": list_column_from_parts(out_pi, pa.int64()),
-            })
-
-    return ds.map_batches(ABJoin, batch_format="pyarrow", concurrency=auto_concurrency())
+    values, offsets = list_column_to_numpy(batch["tokens"])
+    query = ray.get(query_ref)
+    out_mp, out_pi, keep = [], [], []
+    for i in range(len(batch)):
+        ts = values[offsets[i] : offsets[i + 1]].astype("d")
+        if ts.shape[0] < w or query.shape[0] < w:
+            continue
+        mp, mpi, _mpb, _mpib = mpx_ab(ts, query, w)
+        out_mp.append(mp)
+        out_pi.append(mpi)
+        keep.append(i)
+    take = pa.array(np.array(keep, dtype=np.int64), pa.int64())
+    return pa.table({
+        "doc_id": batch["doc_id"].take(take),
+        "w": pa.array(np.full(len(keep), w, np.int32)),
+        "mp": list_column_from_parts(out_mp, pa.float64()),
+        "pi": list_column_from_parts(out_pi, pa.int64()),
+    })
 
 
 # canonical definition lives with the rest of the cross-engine slice
@@ -347,39 +352,43 @@ def mass_search_stage(ds, query: np.ndarray, k: int = 3):
     MASS2 (reference mass2.py:14-96), exclusion-zone suppressed."""
     import ray
 
+    return ds.map_batches(
+        mass_search_batch,
+        fn_kwargs={"query_ref": ray.put(np.asarray(query, dtype="d")),
+                   "k": k},
+        batch_format="pyarrow")
+
+
+def mass_search_batch(batch: pa.Table, query_ref, k: int = 3) -> pa.Table:
+    """(doc_id, rank, match_idx, distance): the k best MASS2 matches per
+    row of the query series in ``query_ref``; rows shorter than the query
+    are dropped."""
+    import ray
+
     from ..kernels.mass import apply_exclusion_zone, mass2
 
+    values, offsets = list_column_to_numpy(batch["tokens"])
+    query = ray.get(query_ref)
     w = len(query)
-    query_ref = ray.put(np.asarray(query, dtype="d"))
-
-    class MassSearch:
-        def __init__(self):
-            self.query = ray.get(query_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            values, offsets = list_column_to_numpy(batch["tokens"])
-            doc_ids, ranks, idxs, dists = [], [], [], []
-            for i in range(len(batch)):
-                ts = values[offsets[i] : offsets[i + 1]].astype("d")
-                if ts.shape[0] < w:
-                    continue
-                dp = np.real(mass2(ts, self.query))
-                ez = int(np.ceil(w / 2.0))
-                for rank in range(min(k, dp.shape[0])):
-                    j = int(np.nanargmin(dp))
-                    if not np.isfinite(dp[j]):
-                        break
-                    doc_ids.append(batch["doc_id"][i].as_py())
-                    ranks.append(rank)
-                    idxs.append(j)
-                    dists.append(float(dp[j]))
-                    apply_exclusion_zone(ez, False, w, ts.shape[0], j, dp)
-            return pa.table({
-                "doc_id": pa.array(doc_ids, pa.string()),
-                "rank": pa.array(ranks, pa.int32()),
-                "match_idx": pa.array(idxs, pa.int64()),
-                "distance": pa.array(dists, pa.float64()),
-            })
-
-    return ds.map_batches(MassSearch, batch_format="pyarrow",
-                          concurrency=auto_concurrency())
+    ez = int(np.ceil(w / 2.0))
+    doc_ids, ranks, idxs, dists = [], [], [], []
+    for i in range(len(batch)):
+        ts = values[offsets[i] : offsets[i + 1]].astype("d")
+        if ts.shape[0] < w:
+            continue
+        dp = np.real(mass2(ts, query))
+        for rank in range(min(k, dp.shape[0])):
+            j = int(np.nanargmin(dp))
+            if not np.isfinite(dp[j]):
+                break
+            doc_ids.append(batch["doc_id"][i].as_py())
+            ranks.append(rank)
+            idxs.append(j)
+            dists.append(float(dp[j]))
+            apply_exclusion_zone(ez, False, w, ts.shape[0], j, dp)
+    return pa.table({
+        "doc_id": pa.array(doc_ids, pa.string()),
+        "rank": pa.array(ranks, pa.int32()),
+        "match_idx": pa.array(idxs, pa.int64()),
+        "distance": pa.array(dists, pa.float64()),
+    })

@@ -5,10 +5,10 @@ profile metadata scalars of the reference's MatrixProfile dict (reference
 algorithms/mpx.py:82-100 defines the field set; the full series is NOT
 embedded — results join back to the input on doc_id).
 
-This is a *stateless* task stage on purpose: the kernels hold no model or
-index, so an actor pool would only pin resources (see SURVEY.md §2.10 —
-actor pools are reserved for the stages that do carry state: rolling tails
-for chunked series, broadcast query matrices for ANN).
+This is a *stateless* task stage, like every stage in the package: the
+kernels hold no model or index, so an actor pool would only pin
+resources.  Long series carry their rolling state through
+``state/chunked.py``'s fan-out tasks, not through actors.
 """
 
 from __future__ import annotations

@@ -216,7 +216,6 @@ def test_resize_stage_clamps_dims(ray_session):
     import ray.data
 
     from matrixprofile_1_ray.stages.multimodal import (
-        ResizeStub,
         make_fake_media_table,
         resize_stage,
     )

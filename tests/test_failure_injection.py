@@ -26,6 +26,8 @@ import pandas as pd
 import pyarrow.dataset as pads
 import pytest
 
+from proctree import cmdline, descendants, kill_tree
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_FILES = 16
 N_PARTS = 8
@@ -61,50 +63,6 @@ def _manifest_lines(out: str) -> int:
         return 0
     with open(path) as fh:
         return sum(1 for line in fh if line.strip())
-
-
-def _descendants(root_pid: int) -> list[int]:
-    """All live descendant pids of root_pid via /proc (no psutil here)."""
-    children: dict[int, list[int]] = {}
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                fields = fh.read().rsplit(")", 1)[1].split()
-            children.setdefault(int(fields[1]), []).append(int(entry))
-        except (OSError, IndexError, ValueError):
-            continue
-    out, stack = [], [root_pid]
-    while stack:
-        for kid in children.get(stack.pop(), []):
-            out.append(kid)
-            stack.append(kid)
-    return out
-
-
-def _cmdline(pid: int) -> str:
-    try:
-        with open(f"/proc/{pid}/cmdline", "rb") as fh:
-            return fh.read().replace(b"\x00", b" ").decode(errors="replace")
-    except OSError:
-        return ""
-
-
-def _kill_tree(proc: subprocess.Popen):
-    """SIGKILL the job's whole tree: process group first, then any
-    stragglers that detached from the group (Ray daemons)."""
-    pids = _descendants(proc.pid)
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-    for pid in [proc.pid, *pids]:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-    proc.wait(timeout=30)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +111,7 @@ def test_driver_sigkill_then_resume_equals_fresh(corpus, fresh_run,
         else:
             pytest.fail("no partition completed within the deadline")
     finally:
-        _kill_tree(proc)
+        kill_tree(proc)
 
     n_before = _manifest_lines(out)
     assert 2 <= n_before < N_PARTS, (
@@ -189,10 +147,10 @@ def test_worker_sigkill_job_survives(corpus, fresh_run, tmp_path):
                 break
             # target ACTIVE task workers (ray::MapBatches..., ray::Write
             # ...), not system actors (_StatsActor etc.) or idle workers
-            active = [pid for pid in _descendants(proc.pid)
-                      if "ray::Map" in _cmdline(pid)
-                      or "ray::Write" in _cmdline(pid)
-                      or "ray::Read" in _cmdline(pid)]
+            active = [pid for pid in descendants(proc.pid)
+                      if "ray::Map" in cmdline(pid)
+                      or "ray::Write" in cmdline(pid)
+                      or "ray::Read" in cmdline(pid)]
             for pid in active[:2 - len(killed)]:
                 try:
                     os.kill(pid, signal.SIGKILL)
@@ -202,7 +160,7 @@ def test_worker_sigkill_job_survives(corpus, fresh_run, tmp_path):
             time.sleep(0.02)
         out_text, _ = proc.communicate(timeout=600)
     except Exception:
-        _kill_tree(proc)
+        kill_tree(proc)
         raise
 
     assert killed, "no active ray:: worker surfaced to kill mid-job"

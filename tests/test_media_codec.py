@@ -201,7 +201,7 @@ def test_wav_malformed_payloads_raise_value_error():
 
 
 def test_decode_stage_real_formats(ray_session):
-    """The actor-pool decode stage REALLY decodes ppm/wav rows and only
+    """The decode stage REALLY decodes ppm/wav rows and only
     falls back to the hash stub for library-needing formats."""
     import ray.data
 

@@ -162,11 +162,6 @@ def _band_rows():
     }
 
 
-# the NumPy walk warns on the nan_inf row's NaN windows
-_nan_row_warnings = pytest.mark.filterwarnings(
-    "ignore:invalid value encountered:RuntimeWarning")
-
-
 def _bits(mp):
     return np.ascontiguousarray(mp).view(np.int64)
 
@@ -185,13 +180,27 @@ def _numpy_walk(monkeypatch, ts):
     return mp, mpi
 
 
+def test_nan_inf_row_walks_without_warnings(self_join_path):
+    """A row with NaN and inf points runs the precompute, the walk and the
+    whole self-join without a RuntimeWarning, on either path."""
+    import warnings
+
+    ts = _band_rows()["nan_inf"](300 + W - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seed, df, dg, sig, minlag = mpx_precompute(ts, W)
+        mp, mpi = _fresh(sig.shape[0])
+        mpx_diag_range(minlag + 1, sig.shape[0], seed, df, dg, sig, mp, mpi)
+        mpx_self(ts, W)
+        mpx_self(ts, W, cross_correlation=True)
+
+
 # pl below, equal to and just above a band (the first diagonal is 3, so
 # pl 67 holds exactly one band), a band plus a narrower one that leaves
 # 1-7 diagonals past a multiple of 4 or 8 lanes, several bands
 _BAND_PLS = (40, 64, 66, 67, 68, 70, 71, 72, 74, 75, 76, 79, 134, 150, 700)
 
 
-@_nan_row_warnings
 @pytest.mark.parametrize("name", list(_band_rows()))
 def test_band_walk_matches_numpy_walk(self_join_path, monkeypatch, name):
     """The full diagonal range, through mpx_self and mpx_diag_range,
@@ -211,7 +220,6 @@ def test_band_walk_matches_numpy_walk(self_join_path, monkeypatch, name):
         np.testing.assert_array_equal(got_pi, ref_pi)
 
 
-@_nan_row_warnings
 @pytest.mark.parametrize("name", list(_band_rows()))
 def test_band_walk_subranges_merge_exactly(self_join_path, monkeypatch,
                                            name):
@@ -246,7 +254,6 @@ def test_band_walk_subranges_merge_exactly(self_join_path, monkeypatch,
         np.testing.assert_array_equal(mpi, ref_pi)
 
 
-@_nan_row_warnings
 def test_band_walk_distributed_matches_numpy_walk(ray_session,
                                                   self_join_path,
                                                   monkeypatch):
@@ -331,7 +338,6 @@ def _lib_self_batch(lib, rows, w):
             for a, b in zip(out_offsets[:-1], out_offsets[1:])]
 
 
-@_nan_row_warnings
 @pytest.mark.parametrize("name", list(_band_rows()))
 def test_every_isa_build_matches_numpy_walk(isa_builds, monkeypatch, name):
     """Each build's band walk (mpx_diag_range_native over the NumPy
