@@ -201,10 +201,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet",
                                    columns=["vec_id", "embedding"])
         # persisted index with a recorded identity (path + size + mtime +
-        # build params): the build is a one-time corpus pass; every query
-        # after reads only the probed partitions, and a regenerated input
-        # OR different build params gets a fresh index instead of a stale
-        # cache (validated INSIDE ivf_topk against the stored fingerprint)
+        # build params + a digest of the build code): the build is a
+        # one-time corpus pass; every query after reads only the probed
+        # partitions, and a regenerated input, different build params OR
+        # changed build code gets a fresh index instead of a stale cache
+        # (validated INSIDE ivf_topk against the stored fingerprint)
         ident, tag = ivf_index_ident(f"{sf_dir}/embeddings.parquet")
         return ivf_topk(ds, queries_mat, k=5,
                         index_dir=f"/tmp/ivf_index_{tag}",

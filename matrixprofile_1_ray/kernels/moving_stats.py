@@ -51,6 +51,7 @@ def _centered_sums(a: np.ndarray, w: int):
 _EXACT_SSQ_LIMIT = 1 << 24
 
 
+@np.errstate(invalid="ignore")  # inf/NaN windows -> NaN mu/ssq (inf - inf)
 def muinvn(a, w: int):
     """Moving mean and *inverse* centered L2 norm.
 

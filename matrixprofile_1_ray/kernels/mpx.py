@@ -62,6 +62,13 @@ def _seed_products(ts: np.ndarray, query_w: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore")  # inf - inf on a non-finite row -> NaN
+def _ab_seed(a: np.ndarray, b: np.ndarray, mua, mub, w: int) -> np.ndarray:
+    """Centered lag-0 covariances of every window of ``a`` with the first
+    window of ``b``: the seeds of one AB-join side."""
+    return _seed_products(a, b[:w]) - w * mua * mub[0]
+
+
+@np.errstate(invalid="ignore")  # inf - inf on a non-finite row -> NaN
 def _diff_eqs(ts: np.ndarray, mu: np.ndarray, w: int):
     """df/dg difference equations (reference cympx.pyx:76-80)."""
     n = ts.shape[0]
@@ -219,6 +226,7 @@ def merge_pearson_partials(left, right):
             np.where(better, right[1], left[1]))
 
 
+@np.errstate(invalid="ignore")  # NaN/inf windows -> NaN, as the C walk
 def _ab_one_side(seed, df_a, dg_a, df_b, dg_b, sig_a, sig_b, mp_a, mpi_a, mp_b, mpi_b,
                  delta: int | None = None, minlag: int = 0):
     """One directional pass of the AB join (reference cympx.pyx:194-237):
@@ -286,9 +294,9 @@ def mpx_ab(ts, query, w: int, cross_correlation: bool = False):
     mpb = np.full(pl_b, -1.0)
     mpib = np.full(pl_b, -1, dtype=np.int64)
 
-    seed_ab = _seed_products(ts, query[:w]) - w * mua * mub[0]
+    seed_ab = _ab_seed(ts, query, mua, mub, w)
     _ab_one_side(seed_ab, df_a, dg_a, df_b, dg_b, siga, sigb, mp, mpi, mpb, mpib)
-    seed_ba = _seed_products(query, ts[:w]) - w * mub * mua[0]
+    seed_ba = _ab_seed(query, ts, mub, mua, w)
     _ab_one_side(seed_ba, df_b, dg_b, df_a, dg_a, sigb, siga, mpb, mpib, mp, mpi)
 
     # Snap correlations within _SNAP_MARGIN of 1 to exactly 1: the
@@ -340,7 +348,7 @@ def tile_pair_partials(strip_a, strip_b, w: int, delta: int, minlag: int,
     mp_b = np.full(mub.shape[0], -1.0)
     mpi_b = np.full(mub.shape[0], -1, dtype=np.int64)
 
-    seed_ab = _seed_products(strip_a, strip_b[:w]) - w * mua * mub[0]
+    seed_ab = _ab_seed(strip_a, strip_b, mua, mub, w)
     _ab_one_side(seed_ab, df_a, dg_a, df_b, dg_b, siga, sigb,
                  mp_a, mpi_a, mp_b, mpi_b, delta=delta, minlag=minlag)
     # DIAGONAL tiles of a MERGED self-join (identical strips, delta 0):
@@ -350,7 +358,7 @@ def tile_pair_partials(strip_a, strip_b, w: int, delta: int, minlag: int,
     # arrays — pure duplicate O(tile^2) work, and diagonal tiles are
     # ~2/(T+1) of a T-row decomposition.
     if not (merged_tile and delta == 0):
-        seed_ba = _seed_products(strip_b, strip_a[:w]) - w * mub * mua[0]
+        seed_ba = _ab_seed(strip_b, strip_a, mub, mua, w)
         _ab_one_side(seed_ba, df_b, dg_b, df_a, dg_a, sigb, siga,
                      mp_b, mpi_b, mp_a, mpi_a, delta=-delta, minlag=minlag)
     return mp_a, mpi_a, mp_b, mpi_b

@@ -148,16 +148,21 @@ def flagship_tail_rows(row, w: int, tiers=None):
     profile computed via the distributed fan-out — the tail-side
     counterpart of ``flagship_batch`` (a too-short row contributes its
     token rollups only, exactly as the batch path's invalid rows do)."""
+    return _unify_kinds(rollup_batch(row, tiers=tiers),
+                        mp_rollup_batch(long_row_profile_table(row, w),
+                                        tiers=tiers))
+
+
+def _unify_kinds(token_rolls, mp_rolls):
+    """One long-format table of both rollup kinds, tagged by ``kind``."""
     import pyarrow as pa
 
-    token_rolls = rollup_batch(row, tiers=tiers)
-    token_rolls = token_rolls.append_column(
-        "kind", pa.array(["token"] * len(token_rolls), pa.string()))
-    mp_rolls = mp_rollup_batch(long_row_profile_table(row, w),
-                               tiers=tiers)
-    mp_rolls = mp_rolls.append_column(
-        "kind", pa.array(["mp"] * len(mp_rolls), pa.string()))
-    return pa.concat_tables([token_rolls, mp_rolls],
+    def tagged(t, kind):
+        return t.append_column(
+            "kind", pa.repeat(pa.scalar(kind, pa.string()), len(t)))
+
+    return pa.concat_tables([tagged(token_rolls, "token"),
+                             tagged(mp_rolls, "mp")],
                             promote_options="default")
 
 
@@ -248,18 +253,13 @@ def flagship_batch(batch, w: int = 32, tiers=None):
     """Single-pass flagship transform: token tier rollups AND matrix-profile
     tier rollups from one batch, unified into one long-format table tagged
     by ``kind`` ('token' rows carry null mp_* columns and vice versa).  One
-    streaming pass over the corpus instead of two."""
-    import pyarrow as pa
-
-    token_rolls = rollup_batch(batch, tiers=tiers)
-    token_rolls = token_rolls.append_column(
-        "kind", pa.array(["token"] * len(token_rolls), pa.string()))
-    prof = compute_profiles_batch(batch, w=w)
-    mp_rolls = mp_rollup_batch(prof, tiers=tiers)
-    mp_rolls = mp_rolls.append_column(
-        "kind", pa.array(["mp"] * len(mp_rolls), pa.string()))
-    return pa.concat_tables([token_rolls, mp_rolls],
-                            promote_options="default")
+    streaming pass over the corpus instead of two; the mp kind runs its
+    argmin pass once, at the finest tier, and folds the coarser tiers'
+    argmins from it (stages/rollup.py).  Both writes run it in 256-row
+    map batches, the batch size of the profile stages."""
+    return _unify_kinds(rollup_batch(batch, tiers=tiers),
+                        mp_rollup_batch(compute_profiles_batch(batch, w=w),
+                                        tiers=tiers))
 
 
 def _select_kind(ds, kind: str, cols):
@@ -318,7 +318,7 @@ def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None):
     Returns ``(token_rollups, mp_rollups)``."""
     ds = sequences_pipeline(sf_dir)
     unified = ds.map_batches(lambda b: flagship_batch(b, w=w, tiers=tiers),
-                             batch_format="pyarrow", batch_size=64)
+                             batch_format="pyarrow", batch_size=256)
     if out_dir:
         import ray.data
 

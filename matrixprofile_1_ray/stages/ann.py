@@ -132,14 +132,30 @@ def ivf_index_ident(path: str, n_centroids: int = 16, seed: int = 13,
     Parquet file at ``path``.  The BUILD PARAMS are part of the identity:
     two callers sharing a /tmp dir but building with different
     n_centroids/seed would otherwise silently reuse each other's index
-    (the staleness check compares only this fingerprint)."""
+    (the staleness check compares only this fingerprint).  So is a digest
+    of the build code (:func:`_build_source_digest`): an index written by
+    an older fit/assign/persist path is rebuilt, not reused."""
     import hashlib
     import os as _os
 
     st = _os.stat(path)
     ident = (f"{path}:{st.st_size}:{st.st_mtime_ns}"
-             f":c{n_centroids}:s{seed}:n{sample_size}")
+             f":c{n_centroids}:s{seed}:n{sample_size}"
+             f":b{_build_source_digest()}")
     return ident, hashlib.sha1(ident.encode()).hexdigest()[:10]
+
+
+def _build_source_digest() -> str:
+    """Short sha1 of the source of every function that decides what an IVF
+    index holds: the centroid fit and seeds, the assign pass and the
+    persist."""
+    import hashlib
+    import inspect
+
+    src = "".join(inspect.getsource(f) for f in (
+        _normalize, _emb_matrix, fit_centroids, seed_centroids_by_vec_id,
+        assign_centroid_batch, build_ivf_index))
+    return hashlib.sha1(src.encode()).hexdigest()[:12]
 
 
 def fit_centroids(sample: np.ndarray, n_centroids: int = 16,

@@ -46,7 +46,7 @@ Scale design — why the store is partitioned by ``kind/tier/epoch``:
 * **One row group per file**: both partitioned writes of the unified
   rollup table pass :data:`ROW_GROUP_ROWS` (pyarrow's own row-group
   cap), so each write task writes one row group per partition it
-  touches instead of one per 64-row map batch.  The store is less than
+  touches instead of one per 256-row map batch.  The store is less than
   half the bytes, and a serving scan reads one footer and one group per
   file.  The file count still follows the write tasks (one per block).
 * **Epoch width AND the tier->seconds map are stored in the layout**
@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..io.fsutil import fs_and_path, guarded_clean_dir
 from .rollup import TIERS as DEFAULT_TIERS
@@ -155,22 +156,21 @@ def aligned_horizons(policy: RetentionPolicy, now_sec: float,
     return out
 
 
-def _epoch_of(tier_names, buckets: np.ndarray, widths: dict,
-              epoch_sec: int) -> np.ndarray:
-    tier_sec = np.fromiter((widths[t] for t in tier_names),
-                           dtype=np.int64, count=len(buckets))
-    return (buckets * tier_sec) // epoch_sec
-
-
 def add_epoch_column(batch: pa.Table, widths: dict,
                      epoch_sec: int) -> pa.Table:
     """Vectorized ``epoch = bucket_start // epoch_sec`` over a unified
     rollup batch (long format with ``tier`` + ``bucket`` columns)."""
-    tiers = batch["tier"].to_pylist()
-    buckets = batch["bucket"].to_numpy(zero_copy_only=False)
+    names = list(widths)
+    idx = pc.index_in(batch["tier"], value_set=pa.array(names, pa.string()))
+    if idx.null_count:
+        missing = pc.unique(pc.filter(batch["tier"], pc.is_null(idx)))
+        raise ValueError(f"tier(s) {missing.to_pylist()} not in the store's "
+                         f"widths {widths}")
+    tier_sec = np.array([widths[t] for t in names], np.int64)
+    buckets = batch["bucket"].to_numpy()
     return batch.append_column(
-        "epoch",
-        pa.array(_epoch_of(tiers, buckets, widths, epoch_sec), pa.int64()))
+        "epoch", pa.array(buckets * tier_sec[idx.to_numpy()] // epoch_sec,
+                          pa.int64()))
 
 
 def write_tiered_store(sf_dir: str, store_dir: str, w: int = 32,
@@ -178,10 +178,11 @@ def write_tiered_store(sf_dir: str, store_dir: str, w: int = 32,
     """One corpus pass -> hive store ``kind=*/tier=*/epoch=*``.
 
     Reuses the fused flagship transform (token + matrix-profile rollups in
-    a single streaming pass, pipelines/flagship.py:82) and only appends the
-    epoch partition key.  ``tiers`` is a name->seconds mapping (default:
-    the raw->1m/1h/1d ladder of stages/rollup.py); each coarser width must
-    be a multiple of the next finer one so retention seams can align.
+    a single streaming pass, ``pipelines.flagship.flagship_batch``) in
+    256-row map batches and only appends the epoch partition key.
+    ``tiers`` is a name->seconds mapping (default: the raw->1m/1h/1d
+    ladder of stages/rollup.py); each coarser width must be a multiple of
+    the next finer one so retention seams can align.
     Returns the store metadata that was persisted.
     """
     from ..pipelines.flagship import flagship_batch, sequences_pipeline
@@ -205,7 +206,7 @@ def write_tiered_store(sf_dir: str, store_dir: str, w: int = 32,
     unified = ds.map_batches(
         lambda b: add_epoch_column(flagship_batch(b, w=w, tiers=widths),
                                    widths, epoch_sec),
-        batch_format="pyarrow", batch_size=64)
+        batch_format="pyarrow", batch_size=256)
     unified.write_parquet(store_dir, partition_cols=["kind", "tier", "epoch"],
                           row_group_size=ROW_GROUP_ROWS)
 

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import sys
 
@@ -14,19 +13,12 @@ def golden(name):
 
 def store_fingerprint(root):
     """Sorted ``(partition dir, size, sha256)`` of every Parquet file
-    under ``root``.  Two writes of one corpus compare by content this
-    way: Ray names each written file after a random write id."""
-    out = []
-    for dirpath, _dirs, names in os.walk(root):
-        for name in names:
-            if not name.endswith(".parquet"):
-                continue
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as f:
-                digest = hashlib.sha256(f.read()).hexdigest()
-            out.append((os.path.relpath(dirpath, root),
-                        os.path.getsize(path), digest))
-    return sorted(out)
+    under ``root`` (``tools/store_digest.py``).  Two writes of one corpus
+    compare by content this way: Ray names each written file after a
+    random write id."""
+    from tools.store_digest import store_entries
+
+    return store_entries(root)
 
 
 @pytest.fixture(scope="session")

@@ -195,6 +195,21 @@ def test_nan_inf_row_walks_without_warnings(self_join_path):
         mpx_self(ts, W, cross_correlation=True)
 
 
+
+def test_nan_inf_row_ab_join_without_warnings(self_join_path):
+    """The AB join (``mpx_ab``, behind MPDist) on a row with NaN and inf
+    points raises no RuntimeWarning, on either path."""
+    import warnings
+
+    from matrixprofile_1_ray.kernels.mpx import mpx_ab
+
+    ts = _band_rows()["nan_inf"](300 + W - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mpx_ab(ts, ts[::-1], W)
+        mpx_ab(ts, ts[::-1], W, cross_correlation=True)
+        mpx_ab(ts, np.sin(np.arange(200.0)), W)
+
 # pl below, equal to and just above a band (the first diagonal is 3, so
 # pl 67 holds exactly one band), a band plus a narrower one that leaves
 # 1-7 diagonals past a multiple of 4 or 8 lanes, several bands

@@ -169,6 +169,27 @@ def test_dedup_exact_counts(entry_mod, oracle_con):
     assert df.dup_count.sum() == 500
 
 
+def test_ivf_index_dir_follows_build_source(monkeypatch):
+    """The IVF index tag (the gate's ``/tmp/ivf_*_{tag}`` directory) and
+    its fingerprint cover the build code: a changed build function
+    changes the source digest, and a changed digest names a different
+    directory, so no run reuses an index an older build path wrote."""
+    from matrixprofile_1_ray.stages import ann
+
+    path = f"{SF}/embeddings.parquet"
+    ident, tag = ann.ivf_index_ident(path, n_centroids=8, seed=-1)
+    assert ident.endswith(f":b{ann._build_source_digest()}")
+    assert ann.ivf_index_ident(path, n_centroids=8, seed=-1) == (ident, tag)
+
+    digest = ann._build_source_digest()
+    with monkeypatch.context() as m:
+        m.setattr(ann, "assign_centroid_batch", ann.probe_scan_batch)
+        assert ann._build_source_digest() != digest
+    monkeypatch.setattr(ann, "_build_source_digest", lambda: "0" * 12)
+    m_ident, m_tag = ann.ivf_index_ident(path, n_centroids=8, seed=-1)
+    assert m_ident != ident and m_tag != tag
+
+
 def test_ivf_build_assignment_matches_argmax(ray_session):
     """The persisted index's assignments equal argmax cosine vs the
     supplied seed centroids (the SQL-replayable build gate's engine

@@ -163,6 +163,62 @@ def test_tiered_read_values_match_rollup_batch(store, corpus):
                                       merged[f"{col}_ref"].to_numpy())
 
 
+def _store_rows(path, kind):
+    import pyarrow.dataset as pads
+
+    return pads.dataset(os.path.join(path, f"kind={kind}"),
+                        partitioning="hive").to_table().to_pandas()
+
+
+def test_store_means_match_numpy(store, corpus):
+    """mp_mean and t_mean of every stored bucket against NumPy means of the
+    serial self-join profile and of the tokens."""
+    from matrixprofile_1_ray.kernels.mpx import mpx_self
+
+    path, _ = store
+    texts = pq.read_table(os.path.join(corpus, "documents.parquet"))["text"]
+    tokens = {str(i): np.array([ord(c) for c in t], "d")
+              for i, t in enumerate(texts.to_pylist())}
+    profiles = {d: mpx_self(ts, 32)[0] for d, ts in tokens.items()}
+    for kind, col, series in (("token", "t_mean", tokens),
+                              ("mp", "mp_mean", profiles)):
+        rows = _store_rows(path, kind)
+        assert set(rows["tier"]) == set(WIDTHS)
+        want = [series[d][b * WIDTHS[t]:(b + 1) * WIDTHS[t]].mean()
+                for d, t, b in zip(rows["doc_id"], rows["tier"],
+                                   rows["bucket"])]
+        np.testing.assert_allclose(rows[col].to_numpy(), want, rtol=1e-12)
+        n_buckets = sum(-(-len(series[d]) // w) for d in series
+                        for w in WIDTHS.values())
+        assert len(rows) == n_buckets
+
+
+def test_epoch_column_is_bucket_start_over_epoch_sec(store):
+    """Every tier's stored epoch partition is bucket * width // epoch_sec,
+    and add_epoch_column computes the same."""
+    from matrixprofile_1_ray.stages.retention import add_epoch_column
+
+    path, meta = store
+    for kind in ("token", "mp"):
+        rows = _store_rows(path, kind)
+        want = rows["bucket"] * rows["tier"].map(WIDTHS).astype(np.int64) \
+            // meta["epoch_sec"]
+        np.testing.assert_array_equal(rows["epoch"].to_numpy(), want)
+    batch = pa.table({"tier": ["1h", "1m", "10m", "1m"],
+                      "bucket": pa.array([5, 599, 7, 0], pa.int64())})
+    got = add_epoch_column(batch, WIDTHS, 600)["epoch"].to_pylist()
+    assert got == [5 * 3600 // 600, 599 * 60 // 600, 7 * 600 // 600, 0]
+
+
+def test_epoch_column_rejects_unknown_tier():
+    from matrixprofile_1_ray.stages.retention import add_epoch_column
+
+    batch = pa.table({"tier": ["1m", "2h", "1m"],
+                      "bucket": pa.array([0, 1, 2], pa.int64())})
+    with pytest.raises(ValueError, match=r"\['2h'\] not in"):
+        add_epoch_column(batch, WIDTHS, 600)
+
+
 def test_tiered_read_serves_mp_kind(store):
     from matrixprofile_1_ray.stages.retention import tiered_read
 
@@ -335,7 +391,7 @@ def _row_groups_per_file(root):
 def test_writes_hold_one_row_group(store, tmp_path):
     """Every store file holds one row group: the module's store, and both
     partitioned rollup writes over a 500-doc corpus, whose write tasks
-    each see many 64-row map batches per partition."""
+    each write one row group per partition they touch."""
     from matrixprofile_1_ray.pipelines.flagship import flagship_rollup
     from matrixprofile_1_ray.stages.retention import write_tiered_store
 

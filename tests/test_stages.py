@@ -3,6 +3,7 @@ oracle, profile stage, gap-fill, codec stages — driver-side (no Ray)."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from matrixprofile_1_ray.functions.tokenize import (
@@ -285,3 +286,140 @@ def test_corpus_motifs_small_batch_forwards_window_kwargs():
         i = docs.index(d)
         ts = values[offsets[i]:offsets[i + 1]].astype("d")
         assert dist == np.round(mpx_self(ts, 8)[0][first], 4)
+
+
+def _bits(a):
+    """Floats as int64 bit patterns (so +0/-0 and NaN payloads count)."""
+    a = np.asarray(a)
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+def _ragged_case(rng, n_rows, max_len, kind):
+    lengths = rng.integers(0, max_len + 1, n_rows)
+    lengths[rng.random(n_rows) < 0.2] = 0                  # empty rows
+    n = int(lengths.sum())
+    if kind == "normal":
+        values = rng.normal(size=n)
+    elif kind == "plateau":        # mins tie across many fine buckets
+        values = rng.integers(0, 3, n).astype("d")
+    elif kind == "nan":            # whole NaN buckets and stray NaNs
+        values = rng.integers(0, 5, n).astype("d")
+        values[rng.random(n) < 0.01] = np.nan
+        for s in rng.integers(0, max(n, 1), 3):
+            values[s:s + 30] = np.nan
+    elif kind == "signed_zero":    # +0/-0 ties, with and without -0
+        values = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+    else:                          # only +0 zeros: the folded path
+        values = rng.choice([0.0, 1.0, 2.0, np.inf, -np.inf], n)
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    return values, offsets
+
+
+def _assert_tiers_match_direct(values, offsets, widths):
+    from matrixprofile_1_ray.stages.rollup import _tier_stats, bucket_reduce
+
+    got = _tier_stats(values, offsets, list(widths), argmin=True)
+    assert len(got) == len(widths)
+    for width, stats in zip(widths, got):
+        want = bucket_reduce(values, offsets, width)
+        for name, g, w in zip(("row", "bucket", "min", "max", "sum",
+                               "count", "argmin"), stats, want):
+            assert g.dtype == w.dtype, (width, name)
+            np.testing.assert_array_equal(_bits(g), _bits(w),
+                                          err_msg=f"width {width} {name}")
+
+
+@pytest.mark.parametrize("kind", ["normal", "plateau", "nan", "signed_zero",
+                                  "positive_zero"])
+def test_folded_tiers_equal_direct_reduce_bit_for_bit(kind):
+    """Every tier folded from a finer one equals a direct reduce at its
+    width: (row, bucket, min, max, sum, count, first-argmin), floats
+    compared as bit patterns."""
+    rng = np.random.default_rng(["normal", "plateau", "nan", "signed_zero",
+                                 "positive_zero"].index(kind))
+    for trial in range(40):
+        values, offsets = _ragged_case(rng, int(rng.integers(1, 12)), 200,
+                                       kind)
+        _assert_tiers_match_direct(values, offsets, [2, 6, 12, 24])
+        _assert_tiers_match_direct(values, offsets, [24, 2, 12, 6])
+        _assert_tiers_match_direct(values, offsets, [7, 10])
+    # rows spanning many 1h and several 1d buckets
+    values, offsets = _ragged_case(rng, 4, 300_000, kind)
+    _assert_tiers_match_direct(values, offsets, [60, 3600, 86400])
+
+
+def test_folded_tiers_on_edge_batches():
+    from matrixprofile_1_ray.stages.rollup import _tier_stats
+
+    empty = _tier_stats(np.empty(0), np.zeros(1, np.int64), [60, 3600], True)
+    assert [len(s[0]) for s in empty] == [0, 0]
+    # rows of only empty lists: no buckets at any width
+    _assert_tiers_match_direct(np.empty(0), np.zeros(4, np.int64), [2, 6])
+    # a tie at the coarse min across fine buckets: first fine bucket wins
+    values = np.array([3.0, 1.0, 2.0, 1.0, 5.0, 1.0, 0.5])
+    _assert_tiers_match_direct(values, np.array([0, 6, 7]), [2, 6, 12])
+
+
+def _rollup_tables_match(got: pa.Table, want: pa.Table):
+    assert got.schema == want.schema
+    for name in got.column_names:
+        g, w = got[name], want[name]
+        if pa.types.is_floating(g.type):
+            np.testing.assert_array_equal(_bits(g.to_numpy()),
+                                          _bits(w.to_numpy()), err_msg=name)
+        else:
+            assert g.equals(w), name
+
+
+def _per_tier(fn, batch, tiers):
+    return pa.concat_tables([fn(batch, tiers={t: w})
+                             for t, w in tiers.items()])
+
+
+@pytest.mark.parametrize("tiers", [
+    {"1m": 60, "1h": 3600, "1d": 86400},
+    {"1d": 86400, "1m": 60, "5m": 300, "1h": 3600},    # coarse-first
+    {"7": 7, "10": 10},                                 # non-dividing
+])
+def test_rollup_batches_equal_per_tier_rollups(tiers):
+    """rollup_batch / mp_rollup_batch over a tier ladder equal the
+    concatenation of one-tier calls, tier order following the dict, on
+    a normal, a 0-row, a sliced and a large_list batch."""
+    table = synthetic_sequences_table(12, seed=5)
+    prof = compute_profiles_batch(table, w=16)
+    sliced = table.slice(3, 6)
+    large = table.set_column(
+        table.schema.get_field_index("tokens"), "tokens",
+        table["tokens"].cast(pa.large_list(pa.int64())))
+    for batch in (table, table.slice(0, 0), sliced, large):
+        got = rollup_batch(batch, tiers=tiers)
+        _rollup_tables_match(got, _per_tier(rollup_batch, batch, tiers))
+        if len(got):
+            tier_runs = [t for i, t in enumerate(got["tier"].to_pylist())
+                         if i == 0 or got["tier"][i - 1].as_py() != t]
+            assert tier_runs == list(tiers)
+    for p in (prof, prof.slice(0, 0), prof.slice(2, 5)):
+        _rollup_tables_match(mp_rollup_batch(p, tiers=tiers),
+                             _per_tier(mp_rollup_batch, p, tiers))
+
+
+def test_rollup_batch_float_column_keeps_sum_bits():
+    """A float value column: the sums behind t_sum/t_mean stay the direct
+    per-tier reduce of the raw values."""
+    rng = np.random.default_rng(9)
+    lengths = [500, 0, 130, 7200]
+    vals = [rng.normal(size=n) for n in lengths]
+    table = pa.table({"doc_id": pa.array(["a", "b", "c", "d"]),
+                      "source": pa.array(["s"] * 4),
+                      "x": pa.array([v.tolist() for v in vals],
+                                    pa.list_(pa.float64()))})
+    tiers = {"1m": 60, "1h": 3600}
+    out = rollup_batch(table, tiers=tiers, value_col="x")
+    _rollup_tables_match(out, _per_tier(
+        lambda b, tiers: rollup_batch(b, tiers=tiers, value_col="x"),
+        table, tiers))
+    d = out.filter(pc.equal(out["doc_id"], "d"))
+    hour = d.filter(pc.equal(d["tier"], "1h"))
+    np.testing.assert_allclose(hour["t_mean"].to_numpy(),
+                               [vals[3][:3600].mean(), vals[3][3600:].mean()],
+                               rtol=1e-12)
