@@ -86,11 +86,11 @@ def cmd_rollup(args):
 
         grp = groups[int(key.split("-")[1])]
         paths = [os.path.join(args.input, f) for f in grp]
-        ds = ray.data.read_parquet(paths)
-        if len(grp) < args.num_cpus:
-            # single files read as single blocks — split so the kernel
-            # stages can use every core inside this partition
-            ds = ds.repartition(args.num_cpus * 2)
+        # single files read as single blocks: a partition of fewer files
+        # than CPUs splits in the read so the kernel stages can use
+        # every core inside it
+        blocks = 2 * args.num_cpus if len(grp) < args.num_cpus else None
+        ds = ray.data.read_parquet(paths, override_num_blocks=blocks)
         ds = ds.map_batches(lambda b: gapfill_batch(b, mode=args.gapfill),
                             batch_format="pyarrow")
         thr = args.long_threshold
@@ -159,16 +159,9 @@ def cmd_dedup(args):
     _init_ray(args.num_cpus)
     # streaming source: the corpus flows as Dataset blocks end-to-end (two
     # lazy passes over it: one for LSH candidates, one for the candidate
-    # docs' shingles inside the verify)
+    # docs' shingles inside the verify); the read splits into 2 x CPUs
+    # blocks
     ds = sequences_from_documents(args.input)
-    try:
-        few_files = len(ds.input_files()) < args.num_cpus
-    except Exception:
-        few_files = True
-    if few_files:
-        # split only under-parallelized (single/few-file) inputs; a
-        # many-file corpus must not pay this all-to-all
-        ds = ds.repartition(args.num_cpus * 2)
     # materialize only the SMALL pair tables: Datasets are lazy and
     # uncached, so a count() on a lazy stage would re-run its whole
     # upstream chain — the pair tables are orders of magnitude smaller

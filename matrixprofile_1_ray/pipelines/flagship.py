@@ -3,9 +3,10 @@ retention-tier rollups.
 
 All stages are streaming ``map_batches`` over Arrow batches; nothing
 materializes the corpus.  At 100 TB the same graph holds: the read prunes
-columns, every transform is per-row so blocks flow independently, and the
-only all-to-all steps live in the optional corpus-level top-k and the
-chunked-series merge (state/chunked.py).  The token codec
+columns and splits its output into blocks itself, every transform is
+per-row so blocks flow independently, and the chain holds no all-to-all
+step (those live only in the optional corpus-level top-k and the
+chunked-series merge, state/chunked.py).  The token codec
 (stages/codec_stage.py) is not in the chain: no stored byte depends on it.
 """
 
@@ -21,25 +22,13 @@ from ..stages.rollup import mp_rollup_batch, rollup_batch
 def sequences_pipeline(sf_dir: str):
     """sequences source -> forward-fill gap-fill.
 
-    Single-file inputs are split into 2 x cluster CPUs blocks so the
-    kernel stages downstream can use every core (a 100 TB corpus already
-    arrives in thousands of files; the split matters only for the small
-    test inputs).
+    The source's read already splits ``documents.parquet`` into 2 x
+    cluster CPUs blocks (``ReadParquet->SplitBlocks``), so the kernel
+    stages downstream can use every core and no all-to-all step copies
+    the token blocks through the object store.
     """
-    import ray
-
-    ds = sequences_from_documents(sf_dir)
-    blocks = 2 * int(ray.cluster_resources().get("CPU", 4))
-    # a corpus that already arrives in >= blocks files has all the read
-    # parallelism it needs and must NOT pay this all-to-all (metadata
-    # check only — input_files never triggers execution)
-    try:
-        split = len(ds.input_files()) < blocks
-    except Exception:
-        split = True
-    if split:
-        ds = ds.repartition(blocks)
-    return ds.map_batches(gapfill_batch, batch_format="pyarrow")
+    return sequences_from_documents(sf_dir).map_batches(
+        gapfill_batch, batch_format="pyarrow")
 
 
 def token_rollup_pipeline(sf_dir: str, tiers=None):
@@ -323,7 +312,7 @@ def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None):
         import ray.data
 
         from ..io.fsutil import guarded_clean_dir
-        from ..stages.retention import ROW_GROUP_ROWS
+        from ..stages.retention import PARQUET_ARGS
 
         # write_parquet APPENDS uniquely-named files, so a re-run into the
         # same out_dir would double every rollup row in the returned reads:
@@ -334,7 +323,7 @@ def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None):
             out_dir, lambda names: all(n.startswith("kind=") for n in names),
             "a flagship rollup layout (only kind=* partitions expected)")
         unified.write_parquet(out_dir, partition_cols=["kind", "tier"],
-                              row_group_size=ROW_GROUP_ROWS)
+                              **PARQUET_ARGS)
         token = _read_kind_dir(out_dir, "token", TOKEN_ROLLUP_COLS)
         mp = _read_kind_dir(out_dir, "mp", MP_ROLLUP_COLS)
         return token, mp

@@ -42,11 +42,21 @@ def tokenize_documents_batch(batch: pa.Table) -> pa.Table:
 
 def sequences_from_documents(sf_dir: str):
     """Lazy Ray Dataset of sequences derived from documents.parquet
-    (columns pruned at the read)."""
+    (columns pruned at the read).
+
+    The read splits its output into 2 x cluster CPUs blocks so the
+    stages downstream can use every core: one file reads as one block
+    otherwise, and Ray's default read parallelism would give a large
+    file up to 200 blocks (so a store written from it, more files)."""
+    import ray
+
     from ..io.readers import read_parquet_clean
 
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet",
-                            columns=["doc_id", "text", "source"])
+    if not ray.is_initialized():
+        ray.init()  # the session the read would start by itself
+    ds = read_parquet_clean(
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"],
+        override_num_blocks=2 * int(ray.cluster_resources().get("CPU", 4)))
     return ds.map_batches(tokenize_documents_batch, batch_format="pyarrow")
 
 
@@ -267,8 +277,9 @@ def synthetic_sequences_dataset(num_rows: int, seed: int = 42,
             **kwargs) for s in batch["start"].to_pylist()]
         return pa.concat_tables(out)
 
-    ds = ray.data.from_arrow(pa.table({"start": pa.array(starts, pa.int64())}))
-    return ds.repartition(len(starts)).map_batches(gen, batch_format="pyarrow")
+    ds = ray.data.from_items([{"start": s} for s in starts],
+                             override_num_blocks=len(starts))
+    return ds.map_batches(gen, batch_format="pyarrow")
 
 
 def write_synthetic_sequences(path: str, num_rows: int, seed: int = 42,

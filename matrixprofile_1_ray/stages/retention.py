@@ -43,12 +43,15 @@ Scale design — why the store is partitioned by ``kind/tier/epoch``:
   takes Ray's no-executor fast path), so iterating or counting it
   reuses the one in-memory block instead of starting a streaming
   executor: every caller collects it in the driver anyway.
-* **One row group per file**: both partitioned writes of the unified
-  rollup table pass :data:`ROW_GROUP_ROWS` (pyarrow's own row-group
-  cap), so each write task writes one row group per partition it
-  touches instead of one per 256-row map batch.  The store is less than
-  half the bytes, and a serving scan reads one footer and one group per
-  file.  The file count still follows the write tasks (one per block).
+* **One set of Parquet arguments**: both partitioned writes of the
+  unified rollup table pass :data:`PARQUET_ARGS`.  ``row_group_size`` is
+  :data:`ROW_GROUP_ROWS` (pyarrow's own row-group cap), so each write
+  task writes one row group per partition it touches instead of one per
+  256-row map batch, and a serving scan reads one footer and one group
+  per file.  Every column chunk is zstd (default level), and only the
+  string key columns ``doc_id``/``source`` get dictionary pages: on the
+  float rollups a dictionary only adds bytes.  The file count still
+  follows the write tasks (one per block).
 * **Epoch width AND the tier->seconds map are stored in the layout**
   (``_store_meta.json``), so a reader can never prune with different
   arithmetic than the writer used.
@@ -74,6 +77,13 @@ _LOG_NAME = "_retention_log.jsonl"
 # and pipelines/flagship.py:flagship_rollup): pyarrow's default cap, so a
 # write task's rows for one partition land in one row group
 ROW_GROUP_ROWS = 1024 * 1024
+# the Parquet writer arguments of both partitioned rollup writes: zstd at
+# its default level, dictionary pages on the string key columns only (on
+# the numeric rollups they cost bytes: the sf0.1 store is 1 073 622 B with
+# them against 999 852 B without; zstd level 9 saves 3.6 % at 2.6x the
+# encode time)
+PARQUET_ARGS = {"row_group_size": ROW_GROUP_ROWS, "compression": "zstd",
+                "use_dictionary": ["doc_id", "source"]}
 
 
 @dataclass(frozen=True)
@@ -208,7 +218,7 @@ def write_tiered_store(sf_dir: str, store_dir: str, w: int = 32,
                                    widths, epoch_sec),
         batch_format="pyarrow", batch_size=256)
     unified.write_parquet(store_dir, partition_cols=["kind", "tier", "epoch"],
-                          row_group_size=ROW_GROUP_ROWS)
+                          **PARQUET_ARGS)
 
     meta = {"epoch_sec": int(epoch_sec), "w": int(w), "tiers": widths}
     filesystem, rel = fs_and_path(store_dir)

@@ -10,12 +10,16 @@ retention plumbing, not the kernels.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from proctree import kill_tree
 from tests.conftest import store_fingerprint
 
 NOW = 19000                                    # ingest watermark (seconds)
@@ -382,25 +386,131 @@ def test_reads_return_materialized_datasets(store):
                       MaterializedDataset)
 
 
+def _parquet_files(root):
+    return [os.path.join(d, n) for d, _, names in os.walk(root)
+            for n in names if n.endswith(".parquet")]
+
+
 def _row_groups_per_file(root):
-    return [pq.ParquetFile(os.path.join(d, n)).metadata.num_row_groups
-            for d, _, names in os.walk(root) for n in names
-            if n.endswith(".parquet")]
+    return [pq.ParquetFile(path).metadata.num_row_groups
+            for path in _parquet_files(root)]
 
 
-def test_writes_hold_one_row_group(store, tmp_path):
-    """Every store file holds one row group: the module's store, and both
-    partitioned rollup writes over a 500-doc corpus, whose write tasks
-    each write one row group per partition they touch."""
+@pytest.fixture(scope="module")
+def sf0001_writes(ray_session, tmp_path_factory):
+    """Both partitioned rollup writes over the 500-doc corpus:
+    ``flagship_rollup(out_dir=...)`` and ``write_tiered_store``."""
     from matrixprofile_1_ray.pipelines.flagship import flagship_rollup
     from matrixprofile_1_ray.stages.retention import write_tiered_store
 
-    flag, tiered = str(tmp_path / "flag"), str(tmp_path / "tiered")
+    root = tmp_path_factory.mktemp("sf0001_writes")
+    flag, tiered = str(root / "flag"), str(root / "tiered")
     flagship_rollup(SF0001, out_dir=flag)
     write_tiered_store(SF0001, tiered)
-    for out in (store[0], flag, tiered):
+    return flag, tiered
+
+
+def test_writes_hold_one_row_group(store, sf0001_writes):
+    """Every store file holds one row group: the module's store, and both
+    partitioned rollup writes over a 500-doc corpus, whose write tasks
+    each write one row group per partition they touch."""
+    for out in (store[0], *sf0001_writes):
         counts = _row_groups_per_file(out)
         assert counts and set(counts) == {1}
+
+
+def test_writes_are_zstd_with_string_dictionaries(sf0001_writes):
+    """Both partitioned writes compress every column chunk with zstd and
+    put dictionary pages on the string key columns only."""
+    for out in sf0001_writes:
+        files = _parquet_files(out)
+        assert files
+        for path in files:
+            md = pq.ParquetFile(path).metadata
+            chunks = [md.row_group(g).column(i)
+                      for g in range(md.num_row_groups)
+                      for i in range(md.num_columns)]
+            assert {c.compression for c in chunks} == {"ZSTD"}, path
+            assert {c.path_in_schema for c in chunks
+                    if c.has_dictionary_page} == {"doc_id", "source"}, path
+
+
+def test_content_digest_ignores_the_encoding(store, tmp_path):
+    """A Snappy and a zstd write of one store file differ in bytes and
+    agree in the content digest (``tools/store_digest.py --content``)."""
+    from tools.store_digest import store_digest
+
+    table = pq.ParquetFile(_parquet_files(store[0])[0]).read()
+    roots = []
+    for codec in ("snappy", "zstd"):
+        part = tmp_path / codec / "kind=token" / "tier=1m" / "epoch=0"
+        part.mkdir(parents=True)
+        pq.write_table(table, str(part / "f.parquet"), compression=codec)
+        roots.append(str(tmp_path / codec))
+    snappy, zstd = (store_digest(r) for r in roots)
+    assert snappy["sha256"] != zstd["sha256"]
+    snappy, zstd = (store_digest(r, content=True) for r in roots)
+    assert snappy["rows"] == zstd["rows"] == table.num_rows > 0
+    assert snappy["sha256"] == zstd["sha256"]
+    # the content digest still sees a changed value
+    changed = tmp_path / "changed" / "kind=token" / "tier=1m" / "epoch=0"
+    changed.mkdir(parents=True)
+    col = table.schema.get_field_index("bucket")
+    pq.write_table(table.set_column(col, "bucket", pc.add(table["bucket"], 1)),
+                   str(changed / "f.parquet"))
+    assert store_digest(str(tmp_path / "changed"),
+                        content=True)["sha256"] != zstd["sha256"]
+
+
+_PLAN_SCRIPT = r"""
+import json, sys
+
+import ray
+import ray.data
+from ray.data._internal.logical.operators.all_to_all_operator import (
+    AbstractAllToAll)
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+
+from matrixprofile_1_ray.pipelines.flagship import sequences_pipeline
+
+ds = sequences_pipeline(sys.argv[1])
+ops, stack = [], [ds._logical_plan.dag]
+while stack:
+    op = stack.pop()
+    ops.append(op)
+    stack.extend(op.input_dependencies)
+blocks = ds.materialize().num_blocks()
+ray.shutdown()
+print(json.dumps({
+    "ops": [type(op).__name__ for op in ops],
+    "all_to_all": [type(op).__name__ for op in ops
+                   if isinstance(op, AbstractAllToAll)],
+    "blocks": blocks}))
+"""
+
+
+def test_sequences_pipeline_splits_in_the_read():
+    """``sequences_pipeline`` holds no all-to-all operator: the read
+    itself splits ``documents.parquet`` into 2 x CPUs blocks (2 on a
+    1-CPU cluster, in a child process with a deadline)."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _PLAN_SCRIPT, SF0001],
+                            cwd=repo, env=dict(os.environ, PYTHONPATH=repo),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        kill_tree(proc)
+        pytest.fail("sequences_pipeline did not finish within 120 s")
+    assert proc.returncode == 0, err[-3000:]
+    plan = json.loads(out.strip().splitlines()[-1])
+    assert "Read" in plan["ops"]
+    assert plan["all_to_all"] == []
+    assert plan["blocks"] == 2
 
 
 def test_rewrite_gives_identical_files(ray_session, tmp_path):
