@@ -128,16 +128,6 @@ def simhash(flat_hashes: np.ndarray, shingle_offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-element Hamming distance of hash fingerprints."""
-    x = np.bitwise_xor(np.asarray(a, np.uint64), np.asarray(b, np.uint64))
-    cnt = np.zeros_like(x, dtype=np.int64)
-    while x.any():
-        cnt += (x & np.uint64(1)).astype(np.int64)
-        x = x >> np.uint64(1)
-    return cnt
-
-
 def jaccard(set_a: np.ndarray, set_b: np.ndarray) -> float:
     """Exact Jaccard over two shingle-hash arrays (as sets)."""
     ua = np.unique(set_a)

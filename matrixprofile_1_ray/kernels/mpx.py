@@ -44,13 +44,11 @@ _EXACT_SDP_LIMIT = 1 << 25
 # smaller index), so both paths return the same bits, tie indices included.
 
 # Correlations within this margin of 1 snap to exactly 1 (distance 0) in
-# BOTH the direct (mpx_ab) and tiled (tiled_mpx_ab) AB joins.  It must be
-# one shared constant: each tile re-seeds its own cumsum, whose rounding
-# error grows with tile length (measured ~1e-13 at tile=128), so the
-# margin is sized for the tiled worst case; using a tighter margin on the
-# direct path would let the two decompositions disagree on pairs falling
-# between the thresholds.  1e-11 (ED ~2.5e-5 at w=32) still sits far
-# below any genuinely distinct pair in double precision.
+# the AB join (mpx_ab), whose vectorized cumsum leaves identical-window
+# pairs a few ulp below 1.  The margin is wide enough for a cumsum whose
+# rounding grows with its length (measured ~1e-13 over 128 steps), and
+# 1e-11 (ED ~2.5e-5 at w=32) still sits far below any genuinely distinct
+# pair in double precision.
 _SNAP_MARGIN = 1e-11
 
 
@@ -304,10 +302,7 @@ def mpx_ab(ts, query, w: int, cross_correlation: bool = False):
     # identical-window pairs to corr >= 1 (then clamps, cympx.pyx:250-254
     # -> distance 0); our vectorized cumsum biases the same pairs a few
     # ulp BELOW 1.  Without the snap, mpdist(ts, ts) returns ~2e-7 instead
-    # of the reference's 0.  The margin is SHARED with tiled_mpx_ab so the
-    # direct and tiled decompositions agree bit-for-bit on which pairs
-    # snap (a pair falling between two different margins would get
-    # distance 0 on one path only).
+    # of the reference's 0.
     mp[mp >= 1.0 - _SNAP_MARGIN] = 1.0
     mpb[mpb >= 1.0 - _SNAP_MARGIN] = 1.0
     np.minimum(mp, 1.0, out=mp)
@@ -322,20 +317,15 @@ def mpx_ab(ts, query, w: int, cross_correlation: bool = False):
     return mp, mpi, mpb, mpib
 
 
-def tile_pair_partials(strip_a, strip_b, w: int, delta: int, minlag: int,
-                       merged_tile: bool = False):
+def tile_pair_partials(strip_a, strip_b, w: int, delta: int, minlag: int):
     """Pearson partial profiles for one tile pair of a SELF-join
     decomposition (SCAMP-style): ``strip_a``/``strip_b`` are overlapping
     slices of one series whose window starts differ by ``delta``
     (a_global - b_global).  Returns (mp_a, mpi_a, mp_b, mpi_b) with
     b-relative / a-relative neighbor indices; the caller rebases to global
-    indices and merges by max-correlation.
-
-    ``merged_tile=True`` declares that the caller merges BOTH returned
-    sides into one global profile (a self-join diagonal tile, r == c) —
-    only then may the mirror pass be skipped; an AB join keeps the sides
-    as separate outputs, so identical-content strips there still need
-    both passes."""
+    indices and merges BOTH sides into one profile by max-correlation,
+    which is what lets a diagonal tile (``delta == 0``) skip the mirror
+    pass."""
     strip_a = np.ascontiguousarray(strip_a, dtype="d")
     strip_b = np.ascontiguousarray(strip_b, dtype="d")
     mua, siga = muinvn(strip_a, w)
@@ -351,68 +341,62 @@ def tile_pair_partials(strip_a, strip_b, w: int, delta: int, minlag: int,
     seed_ab = _ab_seed(strip_a, strip_b, mua, mub, w)
     _ab_one_side(seed_ab, df_a, dg_a, df_b, dg_b, siga, sigb,
                  mp_a, mpi_a, mp_b, mpi_b, delta=delta, minlag=minlag)
-    # DIAGONAL tiles of a MERGED self-join (identical strips, delta 0):
-    # pass 1's lag-i>0 diagonals already update BOTH profile sides of
-    # every admissible pair (target x<-y via mp_a, y<-x via mp_b); the
-    # mirror pass would recompute the identical values into the swapped
-    # arrays — pure duplicate O(tile^2) work, and diagonal tiles are
-    # ~2/(T+1) of a T-row decomposition.
-    if not (merged_tile and delta == 0):
+    # DIAGONAL tiles (identical strips, delta 0): pass 1's lag-i>0
+    # diagonals already update BOTH profile sides of every admissible pair
+    # (target x<-y via mp_a, y<-x via mp_b); the mirror pass would
+    # recompute the identical values into the swapped arrays — pure
+    # duplicate O(tile^2) work, and diagonal tiles are ~2/(T+1) of a T-row
+    # decomposition.
+    if delta != 0:
         seed_ba = _ab_seed(strip_b, strip_a, mub, mua, w)
         _ab_one_side(seed_ba, df_b, dg_b, df_a, dg_a, sigb, siga,
                      mp_b, mpi_b, mp_a, mpi_a, delta=-delta, minlag=minlag)
     return mp_a, mpi_a, mp_b, mpi_b
 
 
-def merge_tile_partial(mp, mpi, lo, hi, part_mp, part_mpi, other_lo,
-                       self_join_ties: bool = False):
+def merge_tile_partial(mp, mpi, lo, hi, part_mp, part_mpi, other_lo):
     """Max-correlation merge of one rebased tile partial into the global
-    ``(mp, mpi)`` — the single definition of the tile merge law
-    (cympx.pyx:104-112 semantics), shared by the serial tiled self-join,
-    the tiled AB join and the distributed absorb so the three can never
-    drift.
+    self-join ``(mp, mpi)`` — the single definition of the tile merge law
+    (cympx.pyx:104-112 semantics), shared by the serial tiled self-join
+    and the distributed absorb so the two can never drift.
 
-    ``self_join_ties``: on EXACT correlation ties (constant / periodic
-    windows — real token streams repeat exactly) a bare strict-greater
-    merge keeps whichever tile happened to land first, making the result
-    depend on tile size and visitation order.  The serial self-join walk
-    resolves ties deterministically — ascending diagonals with the column
-    side updated first mean the CLOSEST partner wins and, at equal
-    distance, the smaller index — so the self-join merge applies that law
-    explicitly across tiles.  CAVEAT: this makes the merge tie-stable but
-    cannot make the tiled result tie-IDENTICAL to the serial walk — a
-    cross-tile pair's internal two-pass walk already collapses each entry
-    to one partner before the merge sees it, and for the pass-2 side that
-    first encounter is the FARTHEST tied candidate (flipping strict to
+    On EXACT correlation ties (constant / periodic windows — real token
+    streams repeat exactly) a bare strict-greater merge keeps whichever
+    tile happened to land first, making the result depend on tile size
+    and visitation order.  The serial self-join walk resolves ties
+    deterministically — ascending diagonals with the column side updated
+    first mean the CLOSEST partner wins and, at equal distance, the
+    smaller index — so the merge applies that law explicitly across
+    tiles.  CAVEAT: this makes the merge tie-stable but cannot make the
+    tiled result tie-IDENTICAL to the serial walk — a cross-tile pair's
+    internal two-pass walk already collapses each entry to one partner
+    before the merge sees it, and for the pass-2 side that first
+    encounter is the FARTHEST tied candidate (flipping strict to
     non-strict would fix that side and break the other: their iteration
     orders oppose).  The tiled decomposition therefore guarantees exact
     VALUES with deterministic-given-tile-size indices; paths that need
     tie-exact indices (the skew router below its memory threshold, every
     conformance oracle) use the diagonal fan-out, which matches the
-    serial walk exactly, ties included.  AB joins keep the plain
-    strict-greater law: the reference's AB tie order is pass-structured
-    (all a-against-b diagonals before b-against-a, cympx.pyx:214-284),
-    not distance-based, so the self-join rule must not be applied there."""
+    serial walk exactly, ties included."""
     vals = part_mp[: hi - lo]
     idxs = part_mpi[: hi - lo] + other_lo
     seg = slice(lo, hi)
     cur_mp = mp[seg]
     better = vals > cur_mp
-    if self_join_ties:
-        # vals > -1 excludes unmatched partial entries (sentinel mpi=-1
-        # would otherwise be rebased into a bogus index on a -1/-1 "tie").
-        # Exact: a partial can never carry a GENUINE corr of -1.0 with a
-        # valid index — every producer (diag walk, native walk, tile pass)
-        # updates with strict > against the -1.0 init, so vals == -1.0
-        # always means unmatched
-        tie = (vals == cur_mp) & (vals > -1.0)
-        if tie.any():
-            cur_pi = mpi[seg]
-            pos = np.arange(lo, hi, dtype=np.int64)
-            nd = np.abs(idxs - pos)
-            cd = np.abs(cur_pi - pos)
-            better = better | (tie & ((nd < cd)
-                                      | ((nd == cd) & (idxs < cur_pi))))
+    # vals > -1 excludes unmatched partial entries (sentinel mpi=-1 would
+    # otherwise be rebased into a bogus index on a -1/-1 "tie").  Exact: a
+    # partial can never carry a GENUINE corr of -1.0 with a valid index —
+    # every producer (diag walk, native walk, tile pass) updates with
+    # strict > against the -1.0 init, so vals == -1.0 always means
+    # unmatched
+    tie = (vals == cur_mp) & (vals > -1.0)
+    if tie.any():
+        cur_pi = mpi[seg]
+        pos = np.arange(lo, hi, dtype=np.int64)
+        nd = np.abs(idxs - pos)
+        cd = np.abs(cur_pi - pos)
+        better = better | (tie & ((nd < cd)
+                                  | ((nd == cd) & (idxs < cur_pi))))
     mp[seg][better] = vals[better]
     mpi[seg][better] = idxs[better]
 
@@ -443,57 +427,13 @@ def tiled_mpx_self(ts, w: int, tile: int):
             strip_a = ts[a_lo : a_hi - 1 + w]
             strip_b = ts[b_lo : b_hi - 1 + w]
             mp_a, mpi_a, mp_b, mpi_b = tile_pair_partials(
-                strip_a, strip_b, w, delta=a_lo - b_lo, minlag=minlag,
-                merged_tile=(a_lo == b_lo))
+                strip_a, strip_b, w, delta=a_lo - b_lo, minlag=minlag)
             # rebase neighbor indices to global window starts and merge
-            merge_tile_partial(mp, mpi, a_lo, a_hi, mp_a, mpi_a, b_lo, self_join_ties=True)
-            merge_tile_partial(mp, mpi, b_lo, b_hi, mp_b, mpi_b, a_lo, self_join_ties=True)
+            merge_tile_partial(mp, mpi, a_lo, a_hi, mp_a, mpi_a, b_lo)
+            merge_tile_partial(mp, mpi, b_lo, b_hi, mp_b, mpi_b, a_lo)
 
     np.minimum(mp, 1.0, out=mp)
     return np.sqrt(2.0 * w * (1.0 - mp)), mpi
-
-
-def tiled_mpx_ab(ts, query, w: int, tile: int):
-    """Exact AB similarity join via the same tile decomposition as
-    :func:`tiled_mpx_self` — every (ts-tile, query-tile) pair touches two
-    strips only; no exclusion band (joins have ez=0, reference
-    stomp.py:279-280).  Returns (mp, mpi, mpb, mpib) like :func:`mpx_ab`."""
-    ts = np.ascontiguousarray(ts, dtype="d")
-    query = np.ascontiguousarray(query, dtype="d")
-    pl_a = ts.shape[0] - w + 1
-    pl_b = query.shape[0] - w + 1
-
-    mp = np.full(pl_a, -1.0)
-    mpi = np.full(pl_a, -1, dtype=np.int64)
-    mpb = np.full(pl_b, -1.0)
-    mpib = np.full(pl_b, -1, dtype=np.int64)
-
-    for r in range(0, pl_a, tile):
-        a_hi = min(r + tile, pl_a)
-        strip_a = ts[r : a_hi - 1 + w]
-        for c in range(0, pl_b, tile):
-            b_hi = min(c + tile, pl_b)
-            strip_b = query[c : b_hi - 1 + w]
-            mp_a, mpi_a, mp_b, mpi_b = tile_pair_partials(
-                strip_a, strip_b, w, delta=0, minlag=-1)
-            merge_tile_partial(mp, mpi, r, a_hi, mp_a, mpi_a, c)
-            merge_tile_partial(mpb, mpib, c, b_hi, mp_b, mpi_b, r)
-
-    # same snap-to-1 as mpx_ab, with the SAME shared margin — a wider
-    # tiled-only margin would let the two decompositions disagree on pairs
-    # falling between the thresholds (genuinely distinct but extremely
-    # similar windows getting distance exactly 0 on one path only)
-    mp[mp >= 1.0 - _SNAP_MARGIN] = 1.0
-    mpb[mpb >= 1.0 - _SNAP_MARGIN] = 1.0
-    np.minimum(mp, 1.0, out=mp)
-    np.minimum(mpb, 1.0, out=mpb)
-    unmatched_a = mp == -1.0
-    unmatched_b = mpb == -1.0
-    mp = np.sqrt(2.0 * w * (1.0 - mp))
-    mpb = np.sqrt(2.0 * w * (1.0 - mpb))
-    mp[unmatched_a] = np.inf
-    mpb[unmatched_b] = np.inf
-    return mp, mpi, mpb, mpib
 
 
 def mpx(ts, w: int, query=None, cross_correlation: bool = False,

@@ -236,23 +236,10 @@ def scrimp_plus_plus(ts, window_size: int, query=None, step_size: float = 0.25,
     return profile
 
 
-def merge_scrimp_partials(left, right):
-    """Merge two (mp, pi) SCRIMP partials by elementwise min distance.
-    Strict ``<`` — the law scrimp_refine_diags applies per diagonal — so
-    an ordered fold over diagonal slices, in any grouping, keeps the
-    first minimum exactly as the serial refinement does."""
-    take = right[0] < left[0]
-    return (np.where(take, right[0], left[0]),
-            np.where(take, right[1], left[1]))
-
-
 def scrimp_refine_diags(ts, m, mu, sig, diag_order, mp, pi):
     """SCRIMP phase-2 refinement over an ORDERED sequence of sampled
     diagonals, updating (mp, pi) in place with strict-< min merges
-    (reference scrimp.py:478-544 loop body).  Disjoint diagonal slices
-    merged in slice order with the same strict-< law reproduce the serial
-    result EXACTLY — the hook state/chunked.distributed_scrimp fans out
-    on."""
+    (reference scrimp.py:478-544 loop body)."""
     n = len(ts)
     pl = n - m + 1
     orig_index = np.arange(pl)

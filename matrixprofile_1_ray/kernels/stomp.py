@@ -1,14 +1,13 @@
-"""STOMP matrix profile with left/right profiles and range-partitioned
-partial computation.
+"""STOMP matrix profile with left/right profiles.
 
 Semantics follow reference matrixprofile/algorithms/stomp.py:19-193
 (``_batch_compute``: the O(1) rolling dot-product update, running query
-sum/sum-of-squares recurrence, NaN-window skipping with its stale-state
-behavior, left/right profile updates) and stomp.py:196-377 (driver: ez =
-ceil(w/2) for self-joins, 0 for AB joins; elementwise-min merge of range
-partials).  The merge law (stomp.py:339-357) is associative and commutative,
-which is what lets a long series be split across Ray tasks and reduced with
-``merge_profiles`` — the distributed path in stages/ relies on it.
+sum/sum-of-squares recurrence, NaN-window skipping, left/right profile
+updates) and stomp.py:196-377 (driver: ez = ceil(w/2) for self-joins, 0
+for AB joins).  The reference splits the query-window range into
+multiprocessing batches and min-merges their partials (stomp.py:313-357);
+here the whole range runs as one batch, since parallelism belongs to the
+Ray layer (one profile per row, rows in parallel).
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from .mass import (
 from .moving_stats import moving_avg_std
 
 
-def stomp_batch(batch_start, batch_end, ts, query, window_size, exclusion_zone,
-                is_join, data_mu, data_sig, first_product, skip_locs):
-    """Compute the profile contribution of query windows
-    [batch_start, batch_end) — reference stomp.py:19-193."""
+def stomp_batch(batch_end, ts, query, window_size, exclusion_zone, is_join,
+                data_mu, data_sig, first_product, skip_locs):
+    """Compute the profile contribution of query windows [0, batch_end)
+    — reference stomp.py:19-193 for its first batch."""
     data_length = ts.shape[0]
     profile_length = data_length - window_size + 1
 
@@ -41,12 +40,8 @@ def stomp_batch(batch_start, batch_end, ts, query, window_size, exclusion_zone,
         lpi = np.zeros(profile_length, dtype=np.int64)
         rpi = np.zeros(profile_length, dtype=np.int64)
 
-    if batch_start == 0:
-        first_window = query[:window_size]
-        last_product = first_product.copy()
-    else:
-        first_window = query[batch_start - 1 : batch_start + window_size - 1]
-        last_product = fft_convolve(ts, first_window)
+    first_window = query[:window_size]
+    last_product = first_product.copy()
 
     query_sum = np.sum(first_window)
     query_2sum = np.sum(first_window ** 2)
@@ -55,20 +50,18 @@ def stomp_batch(batch_start, batch_end, ts, query, window_size, exclusion_zone,
     query_sig = q_sig[0]
     drop_value = first_window[0]
 
-    if batch_start == 0:
-        dp = distance_profile(last_product, window_size, data_mu, data_sig,
-                              query_mu, query_sig)
-        dp = apply_exclusion_zone(exclusion_zone, is_join, window_size,
-                                  data_length, 0, dp)
-        better = dp < mp
-        mp[better] = dp[better]
-        pi[better] = 0
-        if not is_join:
-            lmp[better] = dp[better]
-            lpi[better] = 0
-        batch_start += 1
+    dp = distance_profile(last_product, window_size, data_mu, data_sig,
+                          query_mu, query_sig)
+    dp = apply_exclusion_zone(exclusion_zone, is_join, window_size,
+                              data_length, 0, dp)
+    better = dp < mp
+    mp[better] = dp[better]
+    pi[better] = 0
+    if not is_join:
+        lmp[better] = dp[better]
+        lpi[better] = 0
 
-    # inclusive upper edge so range partials leave no gaps (stomp.py:136-137)
+    # inclusive upper edge, as the reference's (stomp.py:136-137)
     if batch_end < profile_length:
         batch_end += 1
 
@@ -78,7 +71,7 @@ def stomp_batch(batch_start, batch_end, ts, query, window_size, exclusion_zone,
     dp_buf = np.empty(profile_length)
     m_buf = np.empty(profile_length, dtype=bool)
 
-    for i in range(batch_start, batch_end):
+    for i in range(1, batch_end):
         query_window = query[i : i + window_size]
         last = query_window[-1]
         query_sum = query_sum - drop_value + last
@@ -100,10 +93,9 @@ def stomp_batch(batch_start, batch_end, ts, query, window_size, exclusion_zone,
             # of the batch — so its NaN-series output depends on how the
             # query range was batched (each batch reseeds exactly via
             # fft_convolve).  Keeping the state exact through skips makes
-            # every emitted distance correct and the range partials
-            # partition-invariant, which the distributed fan-out
-            # (state/chunked.py) requires; deliberate divergence, covered
-            # by tests/test_round4_review.py.
+            # every emitted distance equal the naive z-normalized distance
+            # of the two windows; deliberate divergence, covered by
+            # tests/test_naive_crosscheck.py on NaN/inf-bearing series.
             continue
 
         # distance profile, in place (core.py:447-478 arithmetic)
@@ -134,30 +126,9 @@ def stomp_batch(batch_start, batch_end, ts, query, window_size, exclusion_zone,
     return {"mp": mp, "pi": pi, "rmp": rmp, "rpi": rpi, "lmp": lmp, "lpi": lpi}
 
 
-def merge_profiles(left, right):
-    """Elementwise-min merge of two partial profiles (stomp.py:339-357);
-    associative and commutative, safe as a distributed reduce."""
-    out = {}
-    for mp_key, pi_key in (("mp", "pi"), ("lmp", "lpi"), ("rmp", "rpi")):
-        a, ai = left.get(mp_key), left.get(pi_key)
-        b, bi = right.get(mp_key), right.get(pi_key)
-        if a is None:
-            out[mp_key], out[pi_key] = b, bi
-            continue
-        take_b = b < a
-        mp = np.where(take_b, b, a)
-        pi = np.where(take_b, bi, ai)
-        out[mp_key], out[pi_key] = mp, pi
-    return out
-
-
-def stomp(ts, window_size: int, query=None, n_ranges: int = 1,
-          n_jobs: int = 1):
+def stomp(ts, window_size: int, query=None, n_jobs: int = 1):
     """Full STOMP profile dict (reference stomp.py:196-377).
 
-    ``n_ranges`` splits the query-window range into partials merged by
-    ``merge_profiles`` — the same result for any value (partition-count
-    invariance), mirroring the reference's multiprocessing batches.
     ``n_jobs`` is accepted for reference-signature compatibility and
     ignored — parallelism belongs to the Ray layer, and the reference's
     own tests assert results are identical at any value."""
@@ -182,17 +153,9 @@ def stomp(ts, window_size: int, query=None, n_ranges: int = 1,
     data_mu, data_sig = moving_avg_std(ts, window_size)
     first_product = fft_convolve(ts, query_arr[:window_size])
 
-    n_ranges = max(1, min(n_ranges, num_queries))
-    bounds = np.linspace(0, num_queries, n_ranges + 1).astype(int)
-    partials = [
-        stomp_batch(int(s), int(e), ts, query_arr, window_size, exclusion_zone,
-                    is_join, data_mu, data_sig, first_product, skip_locs)
-        for s, e in zip(bounds[:-1], bounds[1:])
-        if e > s
-    ]
-    result = partials[0]
-    for part in partials[1:]:
-        result = merge_profiles(result, part)
+    result = stomp_batch(num_queries, ts, query_arr, window_size,
+                         exclusion_zone, is_join, data_mu, data_sig,
+                         first_product, skip_locs)
 
     return {
         "mp": result["mp"],

@@ -1,5 +1,4 @@
 from .flagship import (
-    flagship_rollup,
     mp_rollup_pipeline,
     profiles_pipeline,
     token_rollup_pipeline,

@@ -232,101 +232,15 @@ def profiles_skew_aware(ds, w: int = 32, *, long_threshold: int = 1 << 17,
     return short.union(ray.data.from_arrow_refs(long_refs))
 
 
-TOKEN_ROLLUP_COLS = ["doc_id", "source", "tier", "bucket",
-                     "t_min", "t_max", "t_sum", "t_count", "t_mean"]
-MP_ROLLUP_COLS = ["doc_id", "source", "w", "tier", "bucket",
-                  "mp_min", "mp_mean", "mp_count", "mp_argmin"]
-
-
 def flagship_batch(batch, w: int = 32, tiers=None):
     """Single-pass flagship transform: token tier rollups AND matrix-profile
     tier rollups from one batch, unified into one long-format table tagged
     by ``kind`` ('token' rows carry null mp_* columns and vice versa).  One
     streaming pass over the corpus instead of two; the mp kind runs its
     argmin pass once, at the finest tier, and folds the coarser tiers'
-    argmins from it (stages/rollup.py).  Both writes run it in 256-row
-    map batches, the batch size of the profile stages."""
+    argmins from it (stages/rollup.py).  The store write
+    (stages/retention.py:write_tiered_store) runs it in 256-row map
+    batches, the batch size of the profile stages."""
     return _unify_kinds(rollup_batch(batch, tiers=tiers),
                         mp_rollup_batch(compute_profiles_batch(batch, w=w),
                                         tiers=tiers))
-
-
-def _select_kind(ds, kind: str, cols):
-    import pyarrow.compute as pc
-
-    def f(b):
-        sub = b.filter(pc.equal(b["kind"], kind))
-        return sub.select([c for c in cols if c in sub.column_names])
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-# write_parquet(partition_cols=...) creates a kind=<k> directory only when
-# that kind produced rows; a corpus whose docs are all shorter than the
-# profile window yields no mp rollups, so the pruned read must fall back
-# to an empty (typed) dataset rather than FileNotFoundError.
-_ROLLUP_TYPES = {"doc_id": "string", "source": "string", "w": "int32",
-                 "tier": "string", "bucket": "int64", "t_min": "double",
-                 "t_max": "double", "t_sum": "double", "t_count": "int64",
-                 "t_mean": "double", "mp_min": "double", "mp_mean": "double",
-                 "mp_count": "int64", "mp_argmin": "int64"}
-
-
-def _read_kind_dir(out_dir: str, kind: str, cols):
-    import os
-
-    import pyarrow as pa
-    import ray.data
-    from pyarrow import fs as pafs
-
-    from ..io.fsutil import fs_and_path
-
-    sub = f"{out_dir}/kind={kind}"
-    filesystem, rel = fs_and_path(sub)
-    if filesystem.get_file_info(rel).type == pafs.FileType.NotFound:
-        empty = pa.table(
-            {c: pa.array([], type=_ROLLUP_TYPES[c]) for c in cols})
-        return ray.data.from_arrow(empty)
-    reorder = lambda b: b.select(  # noqa: E731 — hive read loses order
-        [c for c in cols if c in b.column_names])
-    return ray.data.read_parquet(sub).map_batches(reorder,
-                                                  batch_format="pyarrow")
-
-
-def flagship_rollup(sf_dir: str, w: int = 32, tiers=None, out_dir=None):
-    """The end-to-end rollup in ONE corpus pass (``flagship_batch`` fuses
-    the token and MP rollups, so read, tokenize and gap-fill run once).
-
-    With ``out_dir`` the unified table streams straight to Parquet
-    partitioned by kind/tier (resumable layout) and the returned pair of
-    Datasets are pruned reads of what was written — zero recompute.
-    Without it the unified ROLLUP result (bucket-factor smaller than the
-    corpus; the corpus itself never materializes) is materialized once so
-    both returned views share the single pass.
-
-    Returns ``(token_rollups, mp_rollups)``."""
-    ds = sequences_pipeline(sf_dir)
-    unified = ds.map_batches(lambda b: flagship_batch(b, w=w, tiers=tiers),
-                             batch_format="pyarrow", batch_size=256)
-    if out_dir:
-        import ray.data
-
-        from ..io.fsutil import guarded_clean_dir
-        from ..stages.retention import PARQUET_ARGS
-
-        # write_parquet APPENDS uniquely-named files, so a re-run into the
-        # same out_dir would double every rollup row in the returned reads:
-        # rebuild from clean when the target is a prior flagship layout
-        # (kind=* hive partitions only), refuse anything else.  Resolved
-        # via pyarrow.fs so URI targets are guarded too.
-        guarded_clean_dir(
-            out_dir, lambda names: all(n.startswith("kind=") for n in names),
-            "a flagship rollup layout (only kind=* partitions expected)")
-        unified.write_parquet(out_dir, partition_cols=["kind", "tier"],
-                              **PARQUET_ARGS)
-        token = _read_kind_dir(out_dir, "token", TOKEN_ROLLUP_COLS)
-        mp = _read_kind_dir(out_dir, "mp", MP_ROLLUP_COLS)
-        return token, mp
-    unified = unified.materialize()
-    return (_select_kind(unified, "token", TOKEN_ROLLUP_COLS),
-            _select_kind(unified, "mp", MP_ROLLUP_COLS))

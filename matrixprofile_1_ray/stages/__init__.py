@@ -7,8 +7,8 @@ broadcast state (query matrices, centroids, series) goes to the object
 store once and reaches the function as a ref in ``fn_kwargs``.
 """
 
-from .profile import compute_profiles_batch, profile_stage
-from .rollup import rollup_batch, rollup_stage, TIERS, mp_rollup_batch
+from .profile import compute_profiles_batch
+from .rollup import rollup_batch, TIERS, mp_rollup_batch
 from .gapfill import gapfill_batch
 from .codec_stage import verify_roundtrip_batch
 from .ann import brute_force_topk, ivf_topk

@@ -529,12 +529,3 @@ def mp_discord_top1_batch(batch: pa.Table, **small_kwargs) -> pa.Table:
         "discord_idx": pa.array(d_idx, pa.int64()),
         "discord_dist": pa.array(d_val, pa.float64()),
     })
-
-
-def profile_stage(ds, w: int = 32, algorithm: str = "mpx",
-                  batch_size: int = 256, **kwargs):
-    """Attach the profile computation to a sequences Dataset."""
-    return ds.map_batches(
-        lambda b: compute_profiles_batch(b, w=w, algorithm=algorithm, **kwargs),
-        batch_format="pyarrow", batch_size=batch_size,
-    )

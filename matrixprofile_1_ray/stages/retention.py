@@ -43,9 +43,8 @@ Scale design — why the store is partitioned by ``kind/tier/epoch``:
   takes Ray's no-executor fast path), so iterating or counting it
   reuses the one in-memory block instead of starting a streaming
   executor: every caller collects it in the driver anyway.
-* **One set of Parquet arguments**: both partitioned writes of the
-  unified rollup table pass :data:`PARQUET_ARGS`.  ``row_group_size`` is
-  :data:`ROW_GROUP_ROWS` (pyarrow's own row-group cap), so each write
+* **Parquet arguments**: the store write passes :data:`PARQUET_ARGS`.
+  Its ``row_group_size`` is pyarrow's own row-group cap, so each write
   task writes one row group per partition it touches instead of one per
   256-row map batch, and a serving scan reads one footer and one group
   per file.  Every column chunk is zstd (default level), and only the
@@ -73,16 +72,13 @@ from .rollup import TIERS as DEFAULT_TIERS
 
 _META_NAME = "_store_meta.json"
 _LOG_NAME = "_retention_log.jsonl"
-# rows per Parquet row group for both partitioned rollup writes (this one
-# and pipelines/flagship.py:flagship_rollup): pyarrow's default cap, so a
-# write task's rows for one partition land in one row group
-ROW_GROUP_ROWS = 1024 * 1024
-# the Parquet writer arguments of both partitioned rollup writes: zstd at
-# its default level, dictionary pages on the string key columns only (on
-# the numeric rollups they cost bytes: the sf0.1 store is 1 073 622 B with
-# them against 999 852 B without; zstd level 9 saves 3.6 % at 2.6x the
-# encode time)
-PARQUET_ARGS = {"row_group_size": ROW_GROUP_ROWS, "compression": "zstd",
+# the store's Parquet writer arguments: row groups of up to pyarrow's own
+# cap (1 Mi rows), so a write task's rows for one partition land in one
+# row group; zstd at its default level; dictionary pages on the string key
+# columns only (on the numeric rollups they cost bytes: the sf0.1 store is
+# 1 073 622 B with them against 999 852 B without; zstd level 9 saves
+# 3.6 % at 2.6x the encode time)
+PARQUET_ARGS = {"row_group_size": 1024 * 1024, "compression": "zstd",
                 "use_dictionary": ["doc_id", "source"]}
 
 

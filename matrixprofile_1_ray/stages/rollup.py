@@ -175,11 +175,3 @@ def mp_rollup_batch(batch: pa.Table, tiers=None) -> pa.Table:
             "mp_argmin": pa.array(argmins, pa.int64()),
         }))
     return pa.concat_tables(parts)
-
-
-def rollup_stage(ds, tiers=None, value_col: str = "tokens",
-                 batch_size: int = 1024):
-    return ds.map_batches(
-        lambda b: rollup_batch(b, tiers=tiers, value_col=value_col),
-        batch_format="pyarrow", batch_size=batch_size,
-    )

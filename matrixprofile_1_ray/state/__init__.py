@@ -2,7 +2,6 @@ from .chunked import (
     chunk_sequences_batch,
     chunked_rollup,
     distributed_mpx,
-    distributed_stomp,
     distributed_tiled_mpx,
 )
 from .manifest import LineageManifest, run_partitioned

@@ -8,18 +8,15 @@ Two scale paths, both exact:
   only bucket rows, never tokens.  Buckets spanning a chunk boundary are
   merged by the aggregate, which is what makes chunk size a free parameter.
 
-* **Matrix profiles**: the reference's own partial+final aggregate —
-  partial profiles over ranges (its STOMP over query-window ranges,
-  stomp.py:313-357; its MPX over per-thread diagonal ranges,
-  cympx.pyx:104-112), merged elementwise.  One helper, ``_tree_fan_out``,
-  runs it for mpx, stomp and scrimp++: the shared series state is
-  ``ray.put`` once, one module-level leaf task runs per range, and the
-  partials reduce task-side in an ordered fan-in-8 tree.  Each caller
-  supplies only a plan (range bounds), a leaf kernel and an associative,
-  left-biased binary merge law, so the output is independent of the
-  partition count, ties included.  Beyond one worker's object-store
-  slice (8 GB per 10^9 points) ``distributed_tiled_mpx`` applies the
-  tiled decomposition, absorbing its strip-local partials on the driver.
+* **Matrix profiles**: the reference's own partial+final aggregate over
+  MPX's per-thread diagonal ranges (cympx.pyx:82-112), merged by
+  elementwise max-correlation.  ``distributed_mpx`` puts the series
+  state in the object store once, runs one module-level leaf task per
+  diagonal range and reduces the partials task-side in an ordered
+  fan-in-8 tree, so its output equals the serial walk at any partition
+  count, ties included.  Beyond one worker's object-store slice (8 GB per
+  10^9 points) ``distributed_tiled_mpx`` applies the tiled
+  decomposition, absorbing its strip-local partials on the driver.
 """
 
 from __future__ import annotations
@@ -28,13 +25,11 @@ import functools
 import math
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..functions.tokenize import list_column_to_numpy
-from ..kernels.mass import clean_nan_inf, fft_convolve, find_skip_locations
-from ..kernels.moving_stats import moving_avg_std
 from ..kernels.mpx import (
     merge_pearson_partials,
     merge_tile_partial,
@@ -42,8 +37,6 @@ from ..kernels.mpx import (
     mpx_precompute,
     tile_pair_partials,
 )
-from ..kernels.scrimp import merge_scrimp_partials, prescrimp, scrimp_refine_diags
-from ..kernels.stomp import merge_profiles, stomp_batch
 from ..stages.rollup import TIERS
 
 
@@ -146,11 +139,11 @@ def chunked_rollup(chunks_ds, tiers=None):
                          Sum("p_sum", alias_name="t_sum"),
                          Sum("p_count", alias_name="t_count")))
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df["t_mean"] = df["t_sum"] / df["t_count"]
-        return df
+    def finish(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "t_mean", pc.divide(batch["t_sum"], batch["t_count"]))
 
-    return merged.map_batches(finish, batch_format="pandas")
+    return merged.map_batches(finish, batch_format="pyarrow")
 
 
 # Merge-tree fan-in: each merge task left-folds up to FAN_IN contiguous
@@ -163,36 +156,6 @@ FAN_IN = 8
 
 
 @ray.remote
-def _leaf(kernel, lo, hi, shared):
-    return kernel(lo, hi, shared)
-
-
-@ray.remote
-def _merge_group(merge, *parts):
-    return functools.reduce(merge, parts)
-
-
-def _tree_fan_out(shared, plan, kernel, merge, n_partitions):
-    """The one long-series fan-out: ``shared`` goes to the object store
-    once, ``plan(n_partitions)`` gives the ascending range bounds, one
-    ``kernel(lo, hi, shared)`` task runs per non-empty range, and the
-    partials reduce task-side in a FAN_IN-ary tree of contiguous groups.
-    Each merge task left-folds its group in range order, so for an
-    associative left-biased binary ``merge`` the result equals the serial
-    fold over the ranges, ties included.  ``n_partitions=None`` plans two
-    ranges per cluster CPU."""
-    shared_ref = ray.put(shared)
-    if n_partitions is None:
-        n_partitions = 2 * int(ray.cluster_resources().get("CPU", 4))
-    bounds = plan(n_partitions)
-    refs = [_leaf.remote(kernel, int(lo), int(hi), shared_ref)
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    while len(refs) > 1:
-        refs = [_merge_group.remote(merge, *refs[i : i + FAN_IN])
-                for i in range(0, len(refs), FAN_IN)]
-    return ray.get(refs[0])
-
-
 def _mpx_leaf(lo, hi, state):
     seed, df, dg, sig = state
     mp = np.full(sig.shape[0], -1.0)
@@ -201,12 +164,25 @@ def _mpx_leaf(lo, hi, state):
     return mp, mpi
 
 
+@ray.remote
+def _merge_group(*parts):
+    return functools.reduce(merge_pearson_partials, parts)
+
+
 def distributed_mpx(ts, w: int, n_partitions: int | None = None):
     """Exact MPX self-join over one long series, fanned out over the
     diagonal axis — the reference parallelizes the same axis with OpenMP
     threads (cympx.pyx:82-112); here each task walks a contiguous diagonal
     range against the broadcast per-series state and the partials merge by
     elementwise max-correlation (merge_pearson_partials).
+
+    The per-series state is ``ray.put`` once, one leaf task runs per
+    non-empty range, and the partials reduce task-side in a FAN_IN-ary
+    tree of contiguous groups.  Each merge task left-folds its group in
+    range order, and the strict-``>`` merge is associative and
+    left-biased, so the result equals the serial walk at any partition
+    count, ties included.  ``n_partitions=None`` plans two ranges per
+    cluster CPU.
 
     Ranges are sized so each carries ~equal work: diagonal d costs
     (pl - d) updates, so boundaries follow the quantiles of the cumulative
@@ -225,15 +201,21 @@ def distributed_mpx(ts, w: int, n_partitions: int | None = None):
         mp = np.full(pl, -1.0)
         return np.sqrt(2.0 * w * (1.0 - mp)), np.full(pl, -1, dtype=np.int64)
 
-    # equal-work boundaries: cumulative work W(d) = sum_{d0..d}(pl - d)
+    state = ray.put((seed, df, dg, sig))
+    if n_partitions is None:
+        n_partitions = 2 * int(ray.cluster_resources().get("CPU", 4))
+    # equal-work boundaries: cumulative work W(d) = sum_{d0..d}(pl - d);
+    # np.unique drops the empty ranges of a series shorter than the plan
     cum = np.cumsum(pl - np.arange(d0, pl))
-
-    def plan(n):
-        cuts = d0 + np.searchsorted(cum, np.linspace(0, cum[-1], n + 1)[1:-1])
-        return np.unique(np.concatenate(([d0], cuts, [pl])))
-
-    mp, mpi = _tree_fan_out((seed, df, dg, sig), plan, _mpx_leaf,
-                            merge_pearson_partials, n_partitions)
+    cuts = d0 + np.searchsorted(
+        cum, np.linspace(0, cum[-1], n_partitions + 1)[1:-1])
+    bounds = np.unique(np.concatenate(([d0], cuts, [pl])))
+    refs = [_mpx_leaf.remote(int(lo), int(hi), state)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    while len(refs) > 1:
+        refs = [_merge_group.remote(*refs[i : i + FAN_IN])
+                for i in range(0, len(refs), FAN_IN)]
+    mp, mpi = ray.get(refs[0])
     mp = np.minimum(mp, 1.0)
     # ray.get hands back read-only views of the object store; the caller
     # gets a writable index array, as from mpx_self
@@ -261,16 +243,15 @@ def distributed_tiled_mpx(ts, w: int, tile: int, max_in_flight: int = 64):
     @ray.remote
     def run_pair(a_lo, a_hi, b_lo, b_hi, strip_a, strip_b):
         return (a_lo, a_hi, b_lo, b_hi) + tile_pair_partials(
-            strip_a, strip_b, w, delta=a_lo - b_lo, minlag=minlag,
-            merged_tile=(a_lo == b_lo))
+            strip_a, strip_b, w, delta=a_lo - b_lo, minlag=minlag)
 
     mp = np.full(pl, -1.0)
     mpi = np.full(pl, -1, dtype=np.int64)
 
     def absorb(result):
         a_lo, a_hi, b_lo, b_hi, mp_a, mpi_a, mp_b, mpi_b = result
-        merge_tile_partial(mp, mpi, a_lo, a_hi, mp_a, mpi_a, b_lo, self_join_ties=True)
-        merge_tile_partial(mp, mpi, b_lo, b_hi, mp_b, mpi_b, a_lo, self_join_ties=True)
+        merge_tile_partial(mp, mpi, a_lo, a_hi, mp_a, mpi_a, b_lo)
+        merge_tile_partial(mp, mpi, b_lo, b_hi, mp_b, mpi_b, a_lo)
 
     pending = []
     for r in starts:
@@ -287,96 +268,3 @@ def distributed_tiled_mpx(ts, w: int, tile: int, max_in_flight: int = 64):
 
     np.minimum(mp, 1.0, out=mp)
     return np.sqrt(2.0 * w * (1.0 - mp)), mpi
-
-
-def _stomp_leaf(lo, hi, s):
-    return stomp_batch(lo, hi, s["ts"], s["ts"], s["w"], s["ez"], False,
-                       s["mu"], s["sig"], s["first_product"], s["skip"])
-
-
-def distributed_stomp(ts, w: int, n_partitions: int | None = None):
-    """Exact STOMP over one long series, fanned out over query-window
-    ranges (reference stomp.py:313-357) with the series and its moving
-    stats broadcast once; partials merge by merge_profiles (elementwise
-    min, left-biased ties).  Returns the same dict as
-    kernels.stomp.stomp."""
-    ts = np.asarray(ts, dtype="d")
-    n = ts.shape[0]
-    profile_length = n - w + 1
-    ez = int(np.ceil(w / 2.0))
-    # skip locations come from the RAW series, BEFORE the NaN/Inf
-    # zero-fill — same order as kernels.stomp.stomp; computing them after
-    # the clean yields an all-False mask and lets zero-filled windows
-    # contribute spurious distances
-    skip_locs = find_skip_locations(ts, profile_length, w)
-    ts = clean_nan_inf(ts)
-    data_mu, data_sig = moving_avg_std(ts, w)
-    shared = {
-        "ts": ts, "w": w, "ez": ez, "mu": data_mu, "sig": data_sig,
-        "first_product": fft_convolve(ts, ts[:w]), "skip": skip_locs,
-    }
-
-    # duplicate linspace bounds (profile_length < n_partitions) yield
-    # zero-width ranges, which the fan-out skips
-    result = _tree_fan_out(
-        shared, lambda k: np.linspace(0, profile_length, k + 1).astype(int),
-        _stomp_leaf, merge_profiles, n_partitions)
-
-    return {
-        "mp": result["mp"], "pi": result["pi"],
-        "rmp": result["rmp"], "rpi": result["rpi"],
-        "lmp": result["lmp"], "lpi": result["lpi"],
-        "metric": "euclidean", "w": w, "ez": ez, "join": False,
-        "sample_pct": 1, "data": {"ts": ts, "query": None},
-        "class": "MatrixProfile", "algorithm": "stomp_distributed",
-    }
-
-
-def _scrimp_leaf(lo, hi, s):
-    pl = s["ts"].shape[0] - s["w"] + 1
-    mp = np.full(pl, np.inf)
-    pi = np.full(pl, -1, dtype=np.int64)
-    scrimp_refine_diags(s["ts"], s["w"], s["mu"], s["sig"],
-                        s["order"][lo:hi], mp, pi)
-    return mp, pi
-
-
-def distributed_scrimp(ts, w: int, step_size: float = 0.25,
-                       sample_pct: float = 0.1, random_state=None,
-                       n_partitions: int | None = None):
-    """SCRIMP++ over one long series, fanned out over the SAMPLED
-    diagonal axis.  Reproduces kernels.scrimp.scrimp_plus_plus EXACTLY
-    (same seed -> same sampled diagonals; contiguous slices of the sample
-    order run per task starting from +inf partials and merge in slice
-    order with the serial strict-< law, so values AND indices match):
-    phase-1 PreSCRIMP runs on the driver (anchor count is len/(w*step) —
-    cheap), phase 2 is the quadratic part that fans out."""
-    if random_state is not None:
-        np.random.seed(random_state)
-    profile = prescrimp(ts, w, step_size=step_size, sample_pct=sample_pct,
-                        random_state=random_state)
-    ts_arr = profile["data"]["ts"]
-    m = profile["w"]
-    ez = profile["ez"]
-    pl = len(ts_arr) - m + 1
-
-    # EXACT replication of the serial sampling (same RNG call sequence)
-    orig_index = np.arange(pl)
-    compute_order = orig_index[orig_index > ez]
-    sample_size = int(np.ceil(len(compute_order) * sample_pct))
-    compute_order = np.random.choice(compute_order, size=sample_size,
-                                     replace=False)
-
-    if sample_size:
-        mu, sig = moving_avg_std(ts_arr, m)
-        shared = {"ts": ts_arr, "w": m, "mu": mu, "sig": sig,
-                  "order": compute_order}
-        refined = _tree_fan_out(
-            shared, lambda k: np.linspace(0, sample_size, k + 1).astype(int),
-            _scrimp_leaf, merge_scrimp_partials, n_partitions)
-        profile["mp"], profile["pi"] = merge_scrimp_partials(
-            (profile["mp"], profile["pi"]), refined)
-
-    profile["algorithm"] = "scrimp++_distributed"
-    profile["sample_pct"] = sample_pct
-    return profile

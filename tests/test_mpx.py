@@ -54,31 +54,15 @@ def test_similarity_join_matlab(sampledata):
     np.testing.assert_almost_equal(golden("mpx_ab_mpb.txt"), mpb, decimal=4)
 
 
-def test_tiled_ab_join_equals_direct(sampledata):
-    from matrixprofile_1_ray.kernels.mpx import mpx_ab, tiled_mpx_ab
-
-    tsb = sampledata[199:300]
-    mpa, mpia, mpb, mpib = mpx_ab(sampledata, tsb, 32)
-    t_mpa, t_mpia, t_mpb, t_mpib = tiled_mpx_ab(sampledata, tsb, 32, tile=150)
-    # sqrt(2w(1-rho)) amplifies 1e-16 correlation rounding to ~1e-7 near
-    # perfect matches; indices must still agree exactly
-    np.testing.assert_allclose(t_mpa, mpa, atol=1e-6)
-    np.testing.assert_allclose(t_mpb, mpb, atol=1e-6)
-    np.testing.assert_array_equal(t_mpia, mpia)
-    np.testing.assert_array_equal(t_mpib, mpib)
-
-
-def test_tiled_ab_self_pairs_snap_to_zero(sampledata):
-    """Identical-window pairs must be distance exactly 0 in the tiled
-    decomposition too (mpx_ab snaps; the tile path must match despite its
-    larger per-tile cumsum rounding)."""
-    from matrixprofile_1_ray.kernels.mpx import mpx_ab, tiled_mpx_ab
+def test_ab_self_pairs_snap_to_zero(sampledata):
+    """Identical-window pairs of an AB join are distance exactly 0: the
+    cumsum leaves them a few ulp below correlation 1, and the snap lifts
+    them back."""
+    from matrixprofile_1_ray.kernels.mpx import mpx_ab
 
     mpa, mpia, mpb, mpib = mpx_ab(sampledata, sampledata, 32)
-    t_mpa, _, t_mpb, _ = tiled_mpx_ab(sampledata, sampledata, 32, tile=128)
     assert (mpa == 0.0).all()
-    np.testing.assert_allclose(t_mpa, mpa, atol=1e-7)
-    np.testing.assert_allclose(t_mpb, mpb, atol=1e-7)
+    assert (mpb == 0.0).all()
 
 
 def test_fft_seed_path_matches_exact_seed(sampledata):
@@ -98,25 +82,21 @@ def test_fft_seed_path_matches_exact_seed(sampledata):
     np.testing.assert_array_equal(exact_pi, fft_pi)
 
 
-def test_snap_margin_shared_between_direct_and_tiled():
-    """mpx_ab and tiled_mpx_ab snap near-1 correlations with ONE shared
-    margin — per-path margins let the two decompositions disagree on
-    pairs falling between the thresholds (distance exactly 0 on one path
-    only)."""
+def test_ab_snap_margin():
+    """An exact repeat inside an AB join snaps to distance exactly 0, and
+    the snap margin stays 1e-11: far below any genuinely distinct pair."""
     import numpy as np
 
-    from matrixprofile_1_ray.kernels.mpx import _SNAP_MARGIN, mpx_ab, tiled_mpx_ab
+    from matrixprofile_1_ray.kernels.mpx import _SNAP_MARGIN, mpx_ab
 
     rng = np.random.default_rng(5)
     ts = rng.normal(size=400)
-    # plant an exact repeat so the snap fires on both paths
+    # plant an exact repeat so the snap fires
     ts[300:332] = ts[100:132]
     mpa, _, mpb, _ = mpx_ab(ts, ts[80:220], 32)
-    t_mpa, _, t_mpb, _ = tiled_mpx_ab(ts, ts[80:220], 32, tile=64)
     assert (mpa == 0.0).any()
-    np.testing.assert_array_equal(mpa == 0.0, t_mpa == 0.0)
-    np.testing.assert_array_equal(mpb == 0.0, t_mpb == 0.0)
-    assert 0 < _SNAP_MARGIN < 1e-9
+    assert (mpb == 0.0).any()
+    assert _SNAP_MARGIN == 1e-11
 
 
 def test_iter_docs_lex_order_unique_complete():

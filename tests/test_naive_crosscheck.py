@@ -69,6 +69,55 @@ def test_stomp_matches_naive():
     np.testing.assert_array_equal(prof["pi"], naive_pi)
 
 
+def naive_stomp_with_skips(ts, w):
+    """STOMP's profile of a NaN/inf-bearing series, by brute force: the
+    non-finite points are zero-filled, a query window holding one emits
+    nothing, and every other window's naive distance profile (exclusion
+    zone ceil(w/2)) min-merges into every column in ascending query
+    order, the first minimum kept; lmp/rmp keep the minima over queries
+    left / right of each column."""
+    ez = int(np.ceil(w / 2.0))
+    bad = ~np.isfinite(ts)
+    filled = np.where(bad, 0.0, ts)
+    pl = len(ts) - w + 1
+    mp, lmp, rmp = (np.full(pl, np.inf) for _ in range(3))
+    pi = np.zeros(pl, dtype=int)
+    for i in range(pl):
+        if bad[i : i + w].any():
+            continue
+        dp = naive_distance_profile(filled, filled[i : i + w])
+        dp[max(0, i - ez) : min(pl, i + ez + 1)] = np.inf
+        better = dp < mp
+        mp[better] = dp[better]
+        pi[better] = i
+        np.minimum(lmp[i:], dp[i:], out=lmp[i:])
+        np.minimum(rmp[:i], dp[:i], out=rmp[:i])
+    return mp, pi, lmp, rmp
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stomp_skip_windows_match_naive(seed):
+    """STOMP keeps its rolling state exact through skipped (NaN/inf)
+    query windows, where the reference's early ``continue`` leaves it
+    stale (kernels/stomp.py), so every distance it emits on a gappy series
+    equals the naive one.  Random patterns: one to three NaN runs of 1-7
+    points, and on seed 1 an inf point as well."""
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(size=300)
+    for _ in range(rng.integers(1, 4)):
+        a = int(rng.integers(0, 280))
+        ts[a : a + int(rng.integers(1, 8))] = np.nan
+    if rng.random() < 0.5:
+        ts[int(rng.integers(0, 300))] = np.inf
+    w = int(rng.integers(8, 24))
+    prof = stomp(ts.copy(), w)
+    mp, pi, lmp, rmp = naive_stomp_with_skips(ts, w)
+    np.testing.assert_allclose(prof["mp"], mp, atol=1e-9)
+    np.testing.assert_array_equal(prof["pi"], pi)
+    np.testing.assert_allclose(prof["lmp"], lmp, atol=1e-9)
+    np.testing.assert_allclose(prof["rmp"], rmp, atol=1e-9)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
 def test_mpx_matches_naive_hypothesis(seed):

@@ -397,42 +397,37 @@ def _row_groups_per_file(root):
 
 
 @pytest.fixture(scope="module")
-def sf0001_writes(ray_session, tmp_path_factory):
-    """Both partitioned rollup writes over the 500-doc corpus:
-    ``flagship_rollup(out_dir=...)`` and ``write_tiered_store``."""
-    from matrixprofile_1_ray.pipelines.flagship import flagship_rollup
+def sf0001_store(ray_session, tmp_path_factory):
+    """``write_tiered_store`` over the 500-doc corpus."""
     from matrixprofile_1_ray.stages.retention import write_tiered_store
 
-    root = tmp_path_factory.mktemp("sf0001_writes")
-    flag, tiered = str(root / "flag"), str(root / "tiered")
-    flagship_rollup(SF0001, out_dir=flag)
-    write_tiered_store(SF0001, tiered)
-    return flag, tiered
+    out = str(tmp_path_factory.mktemp("sf0001_store") / "tiered")
+    write_tiered_store(SF0001, out)
+    return out
 
 
-def test_writes_hold_one_row_group(store, sf0001_writes):
-    """Every store file holds one row group: the module's store, and both
-    partitioned rollup writes over a 500-doc corpus, whose write tasks
-    each write one row group per partition they touch."""
-    for out in (store[0], *sf0001_writes):
+def test_writes_hold_one_row_group(store, sf0001_store):
+    """Every store file holds one row group: the module's store, and the
+    store of a 500-doc corpus, whose write tasks each write one row group
+    per partition they touch."""
+    for out in (store[0], sf0001_store):
         counts = _row_groups_per_file(out)
         assert counts and set(counts) == {1}
 
 
-def test_writes_are_zstd_with_string_dictionaries(sf0001_writes):
-    """Both partitioned writes compress every column chunk with zstd and
-    put dictionary pages on the string key columns only."""
-    for out in sf0001_writes:
-        files = _parquet_files(out)
-        assert files
-        for path in files:
-            md = pq.ParquetFile(path).metadata
-            chunks = [md.row_group(g).column(i)
-                      for g in range(md.num_row_groups)
-                      for i in range(md.num_columns)]
-            assert {c.compression for c in chunks} == {"ZSTD"}, path
-            assert {c.path_in_schema for c in chunks
-                    if c.has_dictionary_page} == {"doc_id", "source"}, path
+def test_writes_are_zstd_with_string_dictionaries(sf0001_store):
+    """The store write compresses every column chunk with zstd and puts
+    dictionary pages on the string key columns only."""
+    files = _parquet_files(sf0001_store)
+    assert files
+    for path in files:
+        md = pq.ParquetFile(path).metadata
+        chunks = [md.row_group(g).column(i)
+                  for g in range(md.num_row_groups)
+                  for i in range(md.num_columns)]
+        assert {c.compression for c in chunks} == {"ZSTD"}, path
+        assert {c.path_in_schema for c in chunks
+                if c.has_dictionary_page} == {"doc_id", "source"}, path
 
 
 def test_content_digest_ignores_the_encoding(store, tmp_path):
@@ -524,6 +519,23 @@ def test_rewrite_gives_identical_files(ray_session, tmp_path):
         write_tiered_store(SF0001, out)
         prints.append(store_fingerprint(out))
     assert prints[0] and prints[1] == prints[0]
+
+
+def test_rerun_into_one_store_dir_rebuilds(ray_session, corpus, tmp_path):
+    """A second ``write_tiered_store`` into the same ``store_dir`` rebuilds
+    the store rather than appending to it (Ray's writer appends uniquely
+    named files): the content digest of ``tools/store_digest.py
+    --content`` does not change."""
+    from matrixprofile_1_ray.stages.retention import write_tiered_store
+    from tools.store_digest import store_digest
+
+    out = str(tmp_path / "store")
+    digests = []
+    for _ in range(2):
+        write_tiered_store(corpus, out, w=32, tiers=WIDTHS, epoch_sec=600)
+        digests.append(store_digest(out, content=True))
+    assert digests[0]["rows"] > 0
+    assert digests[1] == digests[0]
 
 
 def test_served_results_start_no_executor(store, monkeypatch):

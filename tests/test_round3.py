@@ -323,31 +323,6 @@ def test_mpf_packed_field_split_across_chunks():
                                   [1, 2, 3])
 
 
-def test_flagship_rollup_single_pass(ray_session, tmp_path):
-    from matrixprofile_1_ray.pipelines.flagship import flagship_rollup
-
-    tok, mp = flagship_rollup(SF, tiers={"1m": 60})
-    t_n, m_n = tok.count(), mp.count()
-    assert t_n > 0 and m_n > 0
-    out = tmp_path / "flag"
-    tok2, mp2 = flagship_rollup(SF, tiers={"1m": 60}, out_dir=str(out))
-    assert (out / "kind=token").is_dir() and (out / "kind=mp").is_dir()
-    assert tok2.count() == t_n and mp2.count() == m_n
-    cols = set(tok2.schema().names)
-    assert {"doc_id", "tier", "bucket", "t_min", "t_mean"} <= cols
-    assert "mp_min" not in cols
-    # a re-run into the same out_dir must rebuild, not append duplicates
-    tok3, _ = flagship_rollup(SF, tiers={"1m": 60}, out_dir=str(out))
-    assert tok3.count() == t_n
-    # but a directory that is not a flagship layout must be refused
-    alien = tmp_path / "alien"
-    alien.mkdir()
-    (alien / "precious.txt").write_text("keep me")
-    with pytest.raises(ValueError, match="refusing"):
-        flagship_rollup(SF, tiers={"1m": 60}, out_dir=str(alien))
-    assert (alien / "precious.txt").read_text() == "keep me"
-
-
 def _oracle_con(sf):
     import duckdb
 

@@ -70,41 +70,18 @@ def test_numpy_diag_walk_matches_reference_tie_order():
     np.testing.assert_array_equal(mpi, ref_mpi)
 
 
-def test_distributed_stomp_skips_nan_windows_like_serial():
-    """Skip locations must come from the RAW series (before the NaN
-    zero-fill), exactly as kernels.stomp.stomp orders it — otherwise
-    zero-filled windows contribute spurious distances."""
-    from matrixprofile_1_ray.kernels.stomp import stomp
-    from matrixprofile_1_ray.state.chunked import distributed_stomp
-
-    rng = np.random.default_rng(5)
-    ts = rng.uniform(size=400)
-    ts[120:125] = np.nan
-    ts[300] = np.inf
-    w = 16
-    serial = stomp(ts.copy(), w)
-    # partition invariance must hold on NaN-bearing series too: the
-    # rolling state now advances exactly through skipped windows, so any
-    # range batching yields the same (exact) distances
-    for n_ranges in (2, 5):
-        alt = stomp(ts.copy(), w, n_ranges=n_ranges)
-        np.testing.assert_allclose(alt["mp"], serial["mp"], atol=1e-9)
-        np.testing.assert_array_equal(alt["pi"], serial["pi"])
-    dist = distributed_stomp(ts.copy(), w, n_partitions=4)
-    np.testing.assert_allclose(dist["mp"], serial["mp"], atol=1e-9)
-    np.testing.assert_array_equal(dist["pi"], serial["pi"])
-    np.testing.assert_allclose(dist["lmp"], serial["lmp"], atol=1e-9)
-    np.testing.assert_allclose(dist["rmp"], serial["rmp"], atol=1e-9)
-
-
 def test_tiled_diagonal_skip_is_exact():
-    """Skipping the mirror pass on merged diagonal tiles must not change
-    anything: the merged one-pass partials equal the merged two-pass
-    partials exactly, and the end-to-end tiled join still matches the
-    untiled kernel (exactly on generic data; tie-heavy periodic data is
+    """Skipping the mirror pass on diagonal tiles (delta 0) must not
+    change anything: the merged one-pass partials equal the merged
+    two-pass partials exactly, and the end-to-end tiled join still matches
+    the untiled kernel (exactly on generic data; tie-heavy periodic data is
     checked on values, since tie WINNERS legitimately differ between
     decompositions)."""
+    from matrixprofile_1_ray.kernels.moving_stats import muinvn
     from matrixprofile_1_ray.kernels.mpx import (
+        _ab_one_side,
+        _ab_seed,
+        _diff_eqs,
         merge_tile_partial,
         mpx_self,
         tile_pair_partials,
@@ -113,22 +90,27 @@ def test_tiled_diagonal_skip_is_exact():
 
     rng = np.random.default_rng(11)
 
-    # direct invariant: one diagonal tile, skip vs no-skip, merged equal
+    # direct invariant: one diagonal tile, one pass vs one pass plus the
+    # skipped mirror pass, merged equal
     strip = np.tile(rng.uniform(size=25), 8)  # tie-heavy on purpose
     w = 16
     pl = strip.shape[0] - w + 1
     minlag = int(np.ceil(w / 4.0))
-    merged = {}
-    for flag in (True, False):
+    one = tile_pair_partials(strip, strip, w, delta=0, minlag=minlag)
+    mp_a, mpi_a, mp_b, mpi_b = (x.copy() for x in one)
+    mu, sig = muinvn(strip, w)
+    df, dg = _diff_eqs(strip, mu, w)
+    _ab_one_side(_ab_seed(strip, strip, mu, mu, w), df, dg, df, dg, sig,
+                 sig, mp_b, mpi_b, mp_a, mpi_a, delta=0, minlag=minlag)
+    merged = []
+    for parts in (one, (mp_a, mpi_a, mp_b, mpi_b)):
         mp = np.full(pl, -1.0)
         mpi = np.full(pl, -1, dtype=np.int64)
-        mp_a, mpi_a, mp_b, mpi_b = tile_pair_partials(
-            strip, strip, w, delta=0, minlag=minlag, merged_tile=flag)
-        merge_tile_partial(mp, mpi, 0, pl, mp_a, mpi_a, 0)
-        merge_tile_partial(mp, mpi, 0, pl, mp_b, mpi_b, 0)
-        merged[flag] = (mp, mpi)
-    np.testing.assert_array_equal(merged[True][0], merged[False][0])
-    np.testing.assert_array_equal(merged[True][1], merged[False][1])
+        merge_tile_partial(mp, mpi, 0, pl, parts[0], parts[1], 0)
+        merge_tile_partial(mp, mpi, 0, pl, parts[2], parts[3], 0)
+        merged.append((mp, mpi))
+    np.testing.assert_array_equal(merged[0][0], merged[1][0])
+    np.testing.assert_array_equal(merged[0][1], merged[1][1])
 
     # end-to-end: exact on generic data
     series = rng.uniform(size=500)
@@ -145,21 +127,6 @@ def test_tiled_diagonal_skip_is_exact():
     assert (mpi_t >= 0).all() and (mpi_t < mp_t.shape[0]).all()
 
 
-def test_ab_self_identical_strips_keep_both_sides():
-    """An AB join of a series WITH ITSELF keeps the two sides as separate
-    outputs — the diagonal-tile skip must not fire there (it only applies
-    when the caller merges both sides into one profile)."""
-    from matrixprofile_1_ray.kernels.mpx import mpx_ab, tiled_mpx_ab
-
-    rng = np.random.default_rng(3)
-    ts = rng.uniform(size=300)
-    w = 16
-    ref = mpx_ab(ts, ts, w)
-    tiled = tiled_mpx_ab(ts, ts, w, tile=100)
-    for a, b in zip(tiled, ref):
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
-
 def test_fcluster_monocrit_uses_provided_vector():
     from matrixprofile_1_ray.kernels.linkage import fcluster, linkage
 
@@ -174,30 +141,6 @@ def test_fcluster_monocrit_uses_provided_vector():
     mono_all = np.zeros(Z.shape[0])
     T1 = fcluster(Z, 0.5, criterion="monocrit", monocrit=mono_all)
     assert len(set(T1)) == 1
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_stomp_partition_invariance_random_nan_patterns(seed):
-    """Randomized differential: any NaN/Inf pattern, any range batching —
-    same profile.  (Pre-fix, every post-skip window in a batch was
-    computed from desynced rolling sums.)"""
-    from matrixprofile_1_ray.kernels.stomp import stomp
-
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(size=300)
-    for _ in range(rng.integers(1, 4)):
-        a = int(rng.integers(0, 280))
-        ts[a : a + int(rng.integers(1, 8))] = np.nan
-    if rng.random() < 0.5:
-        ts[int(rng.integers(0, 300))] = np.inf
-    w = int(rng.integers(8, 24))
-    base = stomp(ts.copy(), w)
-    for n_ranges in (2, 3, 7):
-        alt = stomp(ts.copy(), w, n_ranges=n_ranges)
-        np.testing.assert_allclose(alt["mp"], base["mp"], atol=1e-9)
-        np.testing.assert_array_equal(alt["pi"], base["pi"])
-        np.testing.assert_allclose(alt["lmp"], base["lmp"], atol=1e-9)
-        np.testing.assert_allclose(alt["rmp"], base["rmp"], atol=1e-9)
 
 
 def test_native_dispatch_crossover_agrees_with_numpy_walk(monkeypatch):

@@ -65,6 +65,36 @@ def test_chunked_rollup_all_empty_docs(ray_session):
     assert len(out) == 0
 
 
+def test_chunked_rollup_empty_docs_batch_keeps_typed_schema(ray_session):
+    """A batch of only empty-token docs next to a batch of real docs: the
+    rollup comes out with the typed output schema (t_mean computed in
+    Arrow) and the rows of the real docs alone."""
+    import pyarrow as pa
+    import ray.data
+
+    from matrixprofile_1_ray.state.chunked import chunked_rollup
+
+    table = synthetic_sequences_table(3, seed=10)
+    empty = pa.table({
+        "doc_id": pa.array(["e1", "e2"], pa.string()),
+        "source": pa.array(["s", "s"], pa.string()),
+        "start": pa.array([0, 0], pa.int64()),
+        "tokens": pa.array([[], []], table["tokens"].type),
+    })
+    chunks = chunk_sequences_batch(table, chunk_tokens=97)
+    out = chunked_rollup(ray.data.from_arrow([empty, chunks]))
+    schema = out.schema()
+    assert dict(zip(schema.names, map(str, schema.types))) == {
+        "doc_id": "string", "source": "string", "tier": "string",
+        "bucket": "int64", "t_min": "double", "t_max": "double",
+        "t_sum": "double", "t_count": "int64", "t_mean": "double"}
+    got = out.to_pandas()
+    assert len(got) == len(rollup_batch(table))
+    assert not set(got["doc_id"]) & {"e1", "e2"}
+    np.testing.assert_array_equal(got["t_mean"],
+                                  got["t_sum"] / got["t_count"])
+
+
 def test_distributed_mpx_equals_serial(ray_session, sampledata):
     from matrixprofile_1_ray.kernels.mpx import mpx_self
     from matrixprofile_1_ray.state.chunked import distributed_mpx
@@ -109,32 +139,6 @@ def test_distributed_mpx_no_admissible_diagonals(ray_session):
     mp_d, pi_d = distributed_mpx(ts, 90)
     np.testing.assert_allclose(mp_d, mp_s)
     np.testing.assert_array_equal(pi_d, pi_s)
-
-
-def test_distributed_stomp_more_partitions_than_profile(ray_session):
-    """profile_length < n_partitions produces blocks holding only
-    zero-width ranges — they must emit an empty table, not crash."""
-    from matrixprofile_1_ray.kernels import stomp
-    from matrixprofile_1_ray.state.chunked import distributed_stomp
-
-    ts = np.sin(np.arange(12.0))
-    serial = stomp(ts, 6)
-    dist = distributed_stomp(ts, 6, n_partitions=8)
-    for key in ("mp", "lmp", "rmp"):
-        np.testing.assert_allclose(dist[key], serial[key], equal_nan=True)
-    np.testing.assert_array_equal(dist["pi"], serial["pi"])
-
-
-def test_distributed_stomp_equals_serial(ray_session, sampledata):
-    from matrixprofile_1_ray.kernels import stomp
-    from matrixprofile_1_ray.state.chunked import distributed_stomp
-
-    serial = stomp(sampledata, 32)
-    dist = distributed_stomp(sampledata, 32, n_partitions=5)
-    np.testing.assert_almost_equal(serial["mp"], dist["mp"])
-    np.testing.assert_array_equal(serial["pi"], dist["pi"])
-    np.testing.assert_almost_equal(serial["lmp"], dist["lmp"])
-    np.testing.assert_almost_equal(serial["rmp"], dist["rmp"])
 
 
 def test_manifest_resume(ray_session, tmp_path):
@@ -232,23 +236,6 @@ def test_file_fingerprint_changes(tmp_path):
     assert file_fingerprint(str(p)) != f1
 
 
-def test_distributed_scrimp_equals_serial(ray_session, sampledata):
-    """Phase-2 fan-out must reproduce the serial SCRIMP++ EXACTLY (values
-    and indices): same seed -> same sampled diagonals, slice-ordered
-    strict-< merge."""
-    from matrixprofile_1_ray.kernels.scrimp import scrimp_plus_plus
-    from matrixprofile_1_ray.state.chunked import distributed_scrimp
-
-    serial = scrimp_plus_plus(sampledata, 32, sample_pct=0.25,
-                              random_state=99)
-    for parts in (4, 20):
-        dist = distributed_scrimp(sampledata, 32, sample_pct=0.25,
-                                  random_state=99, n_partitions=parts)
-        np.testing.assert_array_equal(serial["mp"], dist["mp"])
-        np.testing.assert_array_equal(serial["pi"], dist["pi"])
-        assert dist["algorithm"] == "scrimp++_distributed"
-
-
 def test_run_partitioned_concurrent_jobs(ray_session, tmp_path):
     """Overlapped partition executions produce the same outputs/manifest
     semantics as the serial path."""
@@ -275,20 +262,3 @@ def test_run_partitioned_concurrent_jobs(ray_session, tmp_path):
     # resume skips everything
     assert set(run_partitioned(conc, parts, make,
                                concurrent_jobs=3).values()) == {"skipped"}
-
-
-def test_distributed_stomp_two_level_tree_reduce(ray_session, sampledata):
-    """n_partitions > fan_in forces a second merge level in the task-side
-    tree reduce; results must still satisfy the serial contract (values
-    almost-equal — range re-seeding differs at ulp — indices exact)."""
-    from matrixprofile_1_ray.kernels import stomp
-    from matrixprofile_1_ray.state.chunked import distributed_stomp
-
-    serial = stomp(sampledata, 32)
-    dist = distributed_stomp(sampledata, 32, n_partitions=20)
-    np.testing.assert_almost_equal(serial["mp"], dist["mp"])
-    np.testing.assert_array_equal(serial["pi"], dist["pi"])
-    np.testing.assert_almost_equal(serial["lmp"], dist["lmp"])
-    np.testing.assert_array_equal(serial["lpi"], dist["lpi"])
-    np.testing.assert_almost_equal(serial["rmp"], dist["rmp"])
-    np.testing.assert_array_equal(serial["rpi"], dist["rpi"])

@@ -27,17 +27,6 @@ def test_self_join_tiny():
     np.testing.assert_array_equal(profile["rpi"], [4, 5, 6, 7, 8, 8, 0, 0, 0])
 
 
-def test_range_partition_invariance(sampledata):
-    """Splitting the query range and min-merging partials must not change
-    the result — the distributed chunked path depends on this."""
-    one = stomp(sampledata, 32, n_ranges=1)
-    many = stomp(sampledata, 32, n_ranges=7)
-    np.testing.assert_almost_equal(one["mp"], many["mp"])
-    np.testing.assert_array_equal(one["pi"], many["pi"])
-    np.testing.assert_almost_equal(one["lmp"], many["lmp"])
-    np.testing.assert_almost_equal(one["rmp"], many["rmp"])
-
-
 def test_stomp_agrees_with_mpx(sampledata):
     """Same exclusion-zone-free minima: STOMP (ez=w/2) distances match MPX
     (minlag=w/4) everywhere the neighbor lies outside both zones."""

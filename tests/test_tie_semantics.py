@@ -98,36 +98,32 @@ def test_tiled_merge_law_keeps_closest_across_tiles():
     # first partial: entry 0 tied at corr 0 with partner 8 (distance 8)
     part_mp = np.array([0.0])
     part_mpi = np.array([8], dtype=np.int64)
-    merge_tile_partial(mp, mpi, 0, 1, part_mp, part_mpi, 0,
-                       self_join_ties=True)
+    merge_tile_partial(mp, mpi, 0, 1, part_mp, part_mpi, 0)
     assert mpi[0] == 8
     # second partial: same corr, partner 5 (distance 5) -> must replace
     merge_tile_partial(mp, mpi, 0, 1, np.array([0.0]),
-                       np.array([5], dtype=np.int64), 0,
-                       self_join_ties=True)
+                       np.array([5], dtype=np.int64), 0)
     assert mpi[0] == 5
     # third: same corr, farther partner 9 -> must NOT replace
     merge_tile_partial(mp, mpi, 0, 1, np.array([0.0]),
-                       np.array([9], dtype=np.int64), 0,
-                       self_join_ties=True)
+                       np.array([9], dtype=np.int64), 0)
     assert mpi[0] == 5
     # equal distance, smaller index wins: partner at 5 vs new at 5 on the
     # other side of entry 5
     mp5 = np.full(pl, -1.0)
     mpi5 = np.full(pl, -1, dtype=np.int64)
+    # partner 8, distance 3
     merge_tile_partial(mp5, mpi5, 5, 6, np.array([0.0]),
-                       np.array([8], dtype=np.int64), 0,
-                       self_join_ties=True)   # partner 8, distance 3
+                       np.array([8], dtype=np.int64), 0)
+    # partner 2, distance 3
     merge_tile_partial(mp5, mpi5, 5, 6, np.array([0.0]),
-                       np.array([2], dtype=np.int64), 0,
-                       self_join_ties=True)   # partner 2, distance 3
+                       np.array([2], dtype=np.int64), 0)
     assert mpi5[5] == 2
     # unmatched (-1) partials never plant a bogus rebased index
     mpu = np.full(pl, -1.0)
     mpiu = np.full(pl, -1, dtype=np.int64)
     merge_tile_partial(mpu, mpiu, 0, 1, np.array([-1.0]),
-                       np.array([-1], dtype=np.int64), 7,
-                       self_join_ties=True)
+                       np.array([-1], dtype=np.int64), 7)
     assert mpiu[0] == -1 and mpu[0] == -1.0
 
 
