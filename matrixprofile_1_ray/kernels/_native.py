@@ -27,26 +27,40 @@ goes 64 diagonals at a time in lockstep over the row index (SCAMP's
 diagonal-blocked CPU tiling, Zimmerman et al., SoCC'19): 8 lanes x 8
 vectors with AVX-512F, 4 x 16 with AVX2, one vector op updating a chain
 per lane.  The band's column entries are contiguous, and the row entry
-takes only the band's best candidate.  ``band_row`` and ``walk_band`` are
-written once, against a small per-ISA shim (lane count, loads and stores,
-compare to bitmask, masked index store, min/max); the AVX-512 shim
-compares into ``__mmask8`` and stores under it through gcc's builtins.
-The precompute's window loops run LANES windows per vector the same way.
-Whole ``mpx_self_batch`` calls, precompute included, w = 32, random-walk
-rows, one core of an AVX-512 Xeon, ns per pl^2/2 cells:
+takes only the band's best candidate, found by a horizontal max and one
+bit per lane.  Every row of a band runs at the band's width, its
+covariances and correlations in registers: the rows where all 64
+diagonals are live without masks, and the rest (the band's first row,
+its last 63 rows, every row of a band narrower than 64 diagonals) under
+lane masks that end each diagonal at its last row, so a short series,
+whose bands are mostly tail, costs about what a long one does per cell.
+``band_row`` and ``walk_band`` are written once, against a small per-ISA
+shim (lane count, plain and masked loads and stores, compare to bitmask,
+min/max, horizontal max); the AVX-512 shim compares into ``__mmask8``
+and loads and stores under it through gcc's builtins.  The precompute's
+window loops run LANES windows per vector, four vectors at a time.
+Whole ``mpx_self_batch`` calls, precompute included, w = 32, one core of
+a 2.0 GHz AVX-512 Xeon, ns per pl^2/2 cells; n rows are random walks,
+batched to about 4e7 cells a call, and sf0.1 is its corpus's 4 876
+profiled documents (median 295 tokens) in one call:
 
-    n            300   577  2 048  8 192  32 768  49 152
-    AVX-512     1.14  0.71   0.51   0.43    0.44    0.45
-    AVX2        1.24  0.89   0.74   0.70    0.68    0.68
-    scalar      2.77  2.43   1.94   1.77    1.66    1.72
+    n          AVX-512   AVX2   scalar
+    300           0.62   0.93     2.35
+    577           0.53   0.80     1.90
+    2 048         0.44   0.68     1.56
+    8 192         0.41   0.64     1.42
+    32 768        0.37   0.63     1.47
+    49 152        0.39   0.63     1.40
+    sf0.1         0.59   0.89     1.97
 
 Without AVX2 every diagonal runs the scalar walk.
 
 Arithmetic note: the C precompute sums each window directly (mean, then
 squared deviations, exactly zero on constant windows) and seeds every
-diagonal with an exact dot product; each diagonal accumulates ``c``
-seed-first per element (the reference's update order, cympx.pyx:85-93),
-in a band lane as in the scalar walk.  The NumPy self-join walk
+diagonal with an exact dot product, summed in the pass over the
+deviations; each diagonal accumulates ``c`` seed-first per element (the
+reference's update order, cympx.pyx:85-93), in a band lane as in the
+scalar walk.  The NumPy self-join walk
 (kernels/mpx.py) does the same sums in the same order, vectorized across
 windows instead of looped.  Ties follow one explicit law on every path —
 larger value, then the nearer partner, then the smaller index; an exact
@@ -85,15 +99,228 @@ static inline int tie_wins(int64_t k, int64_t p, int64_t cur)
     return dp < dc || (dp == dc && p < cur);
 }
 
-/* Stream diagonal d from row j on, c being the covariance at row j - 1
-   (the seed when j == 0, which takes no update): the row entry keeps the
-   raw value, the column entry the clamped one, each merged by
-   max-correlation under tie_wins. */
-static void walk_diag(int64_t d, int64_t j, double c, int64_t pl,
+/* The vector shim: everything the band walk and the precompute need of
+   the host's vectors, so that both are written once.  A vd holds LANES
+   doubles and a vi LANES int64 indices; arithmetic on them is gcc's vector
+   extension.  GE/GT/EQ compare lanewise into a vmask, which BITS turns
+   into one bit per lane, and LIVE(n) sets lanes 0 .. n - 1 (n >= 1);
+   VMIN(a, b) is a < b ? a : b and VMAX(a, b) is a > b ? a : b per lane
+   (the scalar walk's own selects, NaN included); HMAX(a) puts the largest
+   of a's (non-NaN) lanes in every lane; LDM loads the lanes m sets and
+   takes the rest from x, faultless past the end of an array;
+   STORE_D/STORE_IDX store v's lanes where m is set, and no others;
+   VSEL(m, a, b) is m ? a : b.  AVX-512 compares straight into a __mmask8
+   and loads and stores under it, through gcc's builtins (no immintrin.h:
+   parsing it alone takes about 0.17 s, half the build). */
+#if defined(__AVX512F__)
+#define LANES 8
+typedef double vd __attribute__((vector_size(64)));
+typedef long long vi __attribute__((vector_size(64)));
+typedef double vd_u __attribute__((vector_size(64), aligned(8), may_alias));
+typedef unsigned char vmask;
+#define MNONE ((vmask)0)
+/* 0xff: every lane; 4: _MM_FROUND_CUR_DIRECTION */
+#define VCMP(a, b, pred) __builtin_ia32_cmppd512_mask(a, b, pred, 0xff, 4)
+#define GE(a, b) VCMP(a, b, 29) /* _CMP_GE_OQ */
+#define GT(a, b) VCMP(a, b, 30) /* _CMP_GT_OQ */
+#define EQ(a, b) VCMP(a, b, 0)  /* _CMP_EQ_OQ */
+#define BITS(m) ((int)(m))
+#define LIVE(n) ((vmask)((n) >= LANES ? 0xff : (1u << (n)) - 1))
+#define VMIN(a, b) __builtin_ia32_minpd512_mask(a, b, a, 0xff, 4)
+#define VMAX(a, b) __builtin_ia32_maxpd512_mask(a, b, a, 0xff, 4)
+#define VSQRT(a) __builtin_ia32_sqrtpd512_mask(a, a, 0xff, 4)
+#define VSEL(m, a, b) __builtin_ia32_blendmpd_512_mask(b, a, m)
+#define LDM(p, m, x) __builtin_ia32_loadupd512_mask(p, x, m)
+#define STORE_D(p, m, v) __builtin_ia32_storeupd512_mask(p, v, m)
+#define STORE_IDX(p, m, v) \
+    __builtin_ia32_storedqudi512_mask((long long *)(p), v, m)
+static inline vd vset1(double x) { return (vd){x, x, x, x, x, x, x, x}; }
+static inline vi vset1i(int64_t x) { return (vi){x, x, x, x, x, x, x, x}; }
+static inline vd HMAX(vd a)
+{
+    a = VMAX(a, __builtin_shuffle(a, (vi){4, 5, 6, 7, 0, 1, 2, 3}));
+    a = VMAX(a, __builtin_shuffle(a, (vi){2, 3, 0, 1, 6, 7, 4, 5}));
+    return VMAX(a, __builtin_shuffle(a, (vi){1, 0, 3, 2, 5, 4, 7, 6}));
+}
+#elif defined(__AVX2__)
+#define LANES 4
+typedef double vd __attribute__((vector_size(32)));
+typedef long long vi __attribute__((vector_size(32)));
+typedef double vd_u __attribute__((vector_size(32), aligned(8), may_alias));
+typedef vi vmask; /* all-ones lanes where true */
+#define MNONE ((vmask){0})
+#define GE(a, b) ((a) >= (b))
+#define GT(a, b) ((a) > (b))
+#define EQ(a, b) ((a) == (b))
+#define BITS(m) __builtin_ia32_movmskpd256((vd)(m))
+#define LIVE(n) ((vmask)((vi){0, 1, 2, 3} < vset1i(n)))
+#define VMIN(a, b) __builtin_ia32_minpd256(a, b)
+#define VMAX(a, b) __builtin_ia32_maxpd256(a, b)
+#define VSQRT(a) __builtin_ia32_sqrtpd256(a)
+#define VSEL(m, a, b) ((vd)(((vi)(a) & (m)) | ((vi)(b) & ~(m))))
+#define LDM(p, m, x) \
+    VSEL(m, __builtin_ia32_maskloadpd256((const vd *)(p), m), x)
+#define STORE_D(p, m, v) __builtin_ia32_maskstorepd256((vd *)(p), m, v)
+#define STORE_IDX(p, m, v) __builtin_ia32_maskstoreq256((vi *)(p), m, v)
+static inline vd vset1(double x) { return (vd){x, x, x, x}; }
+static inline vi vset1i(int64_t x) { return (vi){x, x, x, x}; }
+static inline vd HMAX(vd a)
+{
+    a = VMAX(a, __builtin_shuffle(a, (vi){2, 3, 0, 1}));
+    return VMAX(a, __builtin_shuffle(a, (vi){1, 0, 3, 2}));
+}
+#endif
+
+#if defined(LANES)
+#define BAND_VECS (64 / LANES) /* a band is 64 diagonals */
+#define LD(p) ((vd)*(const vd_u *)(p))
+#define ST(p, v) (*(vd_u *)(p) = (v))
+
+/* The column entries of band row j that a lane's cc ties: each goes
+   through tie_wins (an entry a lane just took holds partner j itself,
+   which tie_wins never replaces).  Rare off tie-heavy rows, so compiled
+   once, out of line. */
+static __attribute__((noinline)) void
+band_ties(int64_t j, int64_t k, int64_t rem, const vd *c, vd sigj,
+          const double *sig, double *mp, int64_t *mpi)
+{
+    for (int v = 0; LANES * v < rem; v++) {
+        const int64_t o = k + LANES * v;
+        const vmask live = LIVE(rem - LANES * v);
+        vd cc = VMIN(vset1(1.0), c[v] * sigj * LDM(sig + o, live,
+                                                   vset1(NAN)));
+        for (int bits = BITS(EQ(cc, LDM(mp + o, live, vset1(0.0)))); bits;
+             bits &= bits - 1) {
+            int i = __builtin_ctz(bits);
+            if (tie_wins(o + i, j, mpi[o + i])) {
+                mp[o + i] = cc[i];
+                mpi[o + i] = j;
+            }
+        }
+    }
+}
+
+/* Row j of a band walk: lane i of vector v is diagonal
+   k - j + LANES v + i, whose row entry is j and whose column entry is
+   k + LANES v + i.  A tail row (tail set: a band's first row, every row
+   of a band narrower than 64 diagonals, and the last 63 rows of every
+   band) walks only its live lanes, those of the band's width whose
+   column entry is below pl: a vector wholly past them is skipped, and a
+   partly live one loads under its LIVE mask, its other lanes taking a
+   NaN corr, which no entry ever takes.  Every loop over the vectors is
+   unrolled, so the band's c and the row's corr stay in registers. */
+static inline __attribute__((always_inline)) void
+band_row(int64_t j, int64_t k, int update, int tail, int width, int64_t pl,
+         vd *c, const double *df, const double *dg, const double *sig,
+         double *mp, int64_t *mpi)
+{
+    const vd dfj = vset1(df[j]), dgj = vset1(dg[j]), sigj = vset1(sig[j]),
+             mpj = vset1(mp[j]), one = vset1(1.0), zero = vset1(0.0),
+             nan = vset1(NAN);
+    const vi jv = vset1i(j);
+    /* the live lanes are lanes 0 .. rem - 1 */
+    const int64_t rem = !tail ? LANES * BAND_VECS
+                              : pl - k < width ? pl - k : width;
+    const int live_vecs = (int)((rem + LANES - 1) / LANES);
+    vmask tie = MNONE;
+    vd best = vset1(-INFINITY), corr[BAND_VECS];
+#pragma GCC unroll 16
+    for (int v = 0; v < BAND_VECS && v < live_vecs; v++) {
+        const int64_t o = k + LANES * v;
+        const vmask live = tail ? LIVE(rem - LANES * v) : MNONE;
+        if (update)
+            c[v] += tail ? dfj * LDM(dg + o, live, zero)
+                               + LDM(df + o, live, zero) * dgj
+                         : dfj * LD(dg + o) + LD(df + o) * dgj;
+        corr[v] = c[v] * sigj * (tail ? LDM(sig + o, live, nan)
+                                      : LD(sig + o));
+        best = VMAX(corr[v], best);  /* a NaN corr never counts */
+        /* VMIN(1, x) is x > 1 ? 1 : x, the column entry's clamp */
+        vd cc = VMIN(one, corr[v]),
+           m = tail ? LDM(mp + o, live, zero) : LD(mp + o);
+        vmask gt = GT(cc, m);
+        tie |= EQ(cc, m);
+        STORE_D(mp + o, gt, cc);
+        STORE_IDX(mpi + o, gt, jv);
+    }
+    if (BITS(tie)) {
+        vd cs[BAND_VECS];  /* a copy, so that c never leaves registers */
+#pragma GCC unroll 16
+        for (int v = 0; v < BAND_VECS; v++)
+            cs[v] = c[v];
+        band_ties(j, k, rem, cs, sigj, sig, mp, mpi);
+    }
+    if (BITS(GE(best, mpj))) {
+        /* the row entry's one candidate: the band's largest corr x, at
+           the lowest lane (nearest partner) among equals; the serial
+           walk, meeting them one by one, keeps the same one.  Each
+           vector's lanes equal to x go into one bit per lane of the
+           band, whose lowest set bit is that lane */
+        const vd x = HMAX(best);
+        uint64_t at = 0;
+#pragma GCC unroll 16
+        for (int v = 0; v < BAND_VECS && v < live_vecs; v++)
+            at |= (uint64_t)BITS(EQ(corr[v], x)) << (LANES * v);
+        const int p = __builtin_ctzll(at);
+        double xp = x[0];
+        if (xp == 0.0) {
+            /* equal non-zero doubles have equal bits; a zero takes the
+               sign of the lane's own corr */
+            double row[LANES * BAND_VECS];
+#pragma GCC unroll 16
+            for (int v = 0; v < BAND_VECS && v < live_vecs; v++)
+                ST(row + LANES * v, corr[v]);
+            xp = row[p];
+        }
+        if (xp > mp[j] || (xp == mp[j] && tie_wins(j, k + p, mpi[j]))) {
+            mp[j] = xp;
+            mpi[j] = k + p;
+        }
+    }
+}
+
+/* Diagonals d0 .. d0 + width - 1 (width <= 64) walked in lockstep over
+   the row index j (SCAMP's diagonal-blocked CPU tiling), from row 0 to
+   the last row of diagonal d0.  Each lane streams its diagonal with the scalar walk's own
+   sum order, so every corr has the same bits; the band's column entries
+   are contiguous, so the column merge is one compare and masked store per
+   vector, and the row entry takes only the band's best candidate, kept by
+   one max per vector.  Ties go through tie_wins: the band reaches a column
+   entry's candidates farthest partner first.  The rows where all 64 lanes
+   are live take band_row at a constant width and without masks; every
+   other row is a tail row. */
+static void walk_band(int64_t d0, int width, int64_t pl, const double *seed,
                       const double *df, const double *dg, const double *sig,
                       double *mp, int64_t *mpi)
 {
-    for (; j < pl - d; j++) {
+    vd c[BAND_VECS];
+#pragma GCC unroll 16
+    for (int v = 0; v < BAND_VECS; v++)
+        c[v] = LANES * v < width
+                   ? LDM(seed + d0 + LANES * v, LIVE(width - LANES * v),
+                         vset1(0.0))
+                   : vset1(0.0);
+    const int64_t full_end = width == LANES * BAND_VECS
+                                 ? pl - d0 - LANES * BAND_VECS + 1 : 1;
+    for (int64_t j = 0; j < pl - d0; j++)
+        if (j > 0 && j < full_end)
+            band_row(j, d0 + j, 1, 0, LANES * BAND_VECS, pl, c, df, dg, sig,
+                     mp, mpi);
+        else
+            band_row(j, d0 + j, j > 0, 1, width, pl, c, df, dg, sig, mp,
+                     mpi);
+}
+#endif
+
+#if !defined(LANES)
+/* Stream diagonal d from its seed c (row 0, which takes no update): the
+   row entry keeps the raw value, the column entry the clamped one, each
+   merged by max-correlation under tie_wins. */
+static void walk_diag(int64_t d, double c, int64_t pl, const double *df,
+                      const double *dg, const double *sig, double *mp,
+                      int64_t *mpi)
+{
+    for (int64_t j = 0; j < pl - d; j++) {
         if (j > 0)
             c += df[j] * dg[d + j] + df[d + j] * dg[j];
         double corr = c * sig[j] * sig[d + j];
@@ -111,235 +338,112 @@ static void walk_diag(int64_t d, int64_t j, double c, int64_t pl,
         }
     }
 }
-
-/* The vector shim: everything the band walk and the precompute need of
-   the host's vectors, so that both are written once.  A vd holds LANES
-   doubles and a vi LANES int64 indices; arithmetic on them is gcc's vector
-   extension.  GE/GT/EQ compare lanewise into a vmask, which BITS turns
-   into one bit per lane; VMIN(a, b) is a < b ? a : b and VMAX(a, b) is
-   a > b ? a : b per lane (the scalar walk's own selects, NaN included);
-   STORE_IDX stores v's lanes where m is set; VSEL(m, a, b) is m ? a : b.
-   AVX-512 compares straight into a __mmask8 and stores under it, through
-   gcc's builtins (no immintrin.h: parsing it alone takes about 0.17 s,
-   half the build). */
-#if defined(__AVX512F__)
-#define LANES 8
-typedef double vd __attribute__((vector_size(64)));
-typedef long long vi __attribute__((vector_size(64)));
-typedef double vd_u __attribute__((vector_size(64), aligned(8), may_alias));
-typedef unsigned char vmask;
-#define MNONE ((vmask)0)
-/* 0xff: every lane; 4: _MM_FROUND_CUR_DIRECTION */
-#define VCMP(a, b, pred) __builtin_ia32_cmppd512_mask(a, b, pred, 0xff, 4)
-#define GE(a, b) VCMP(a, b, 29) /* _CMP_GE_OQ */
-#define GT(a, b) VCMP(a, b, 30) /* _CMP_GT_OQ */
-#define EQ(a, b) VCMP(a, b, 0)  /* _CMP_EQ_OQ */
-#define BITS(m) ((int)(m))
-#define VMIN(a, b) __builtin_ia32_minpd512_mask(a, b, a, 0xff, 4)
-#define VMAX(a, b) __builtin_ia32_maxpd512_mask(a, b, a, 0xff, 4)
-#define VSQRT(a) __builtin_ia32_sqrtpd512_mask(a, a, 0xff, 4)
-#define VSEL(m, a, b) __builtin_ia32_blendmpd_512_mask(b, a, m)
-#define STORE_IDX(p, m, v) \
-    __builtin_ia32_storedqudi512_mask((long long *)(p), v, m)
-static inline vd vset1(double x) { return (vd){x, x, x, x, x, x, x, x}; }
-static inline vi vset1i(int64_t x) { return (vi){x, x, x, x, x, x, x, x}; }
-#elif defined(__AVX2__)
-#define LANES 4
-typedef double vd __attribute__((vector_size(32)));
-typedef int64_t vi __attribute__((vector_size(32)));
-typedef double vd_u __attribute__((vector_size(32), aligned(8), may_alias));
-typedef int64_t vi_u __attribute__((vector_size(32), aligned(8), may_alias));
-typedef vi vmask; /* all-ones lanes where true */
-#define MNONE ((vmask){0})
-#define GE(a, b) ((a) >= (b))
-#define GT(a, b) ((a) > (b))
-#define EQ(a, b) ((a) == (b))
-#define BITS(m) __builtin_ia32_movmskpd256((vd)(m))
-#define VMIN(a, b) __builtin_ia32_minpd256(a, b)
-#define VMAX(a, b) __builtin_ia32_maxpd256(a, b)
-#define VSQRT(a) __builtin_ia32_sqrtpd256(a)
-#define VSEL(m, a, b) ((vd)(((vi)(a) & (m)) | ((vi)(b) & ~(m))))
-#define STORE_IDX(p, m, v) \
-    (*(vi_u *)(p) = ((m) & (v)) | (~(m) & *(const vi_u *)(p)))
-static inline vd vset1(double x) { return (vd){x, x, x, x}; }
-static inline vi vset1i(int64_t x) { return (vi){x, x, x, x}; }
-#endif
-
-#if defined(LANES)
-#define BAND_VECS (64 / LANES) /* a band is 64 diagonals */
-#define LD(p) (*(const vd_u *)(p))
-#define ST(p, v) (*(vd_u *)(p) = (v))
-
-/* Row j of a band walk: lane i of vector v is diagonal
-   k - j + LANES v + i, whose row entry is j and whose column entry is
-   k + LANES v + i. */
-static inline __attribute__((always_inline)) void
-band_row(int64_t j, int64_t k, int update, int nv, vd *c,
-         const double *df, const double *dg, const double *sig,
-         double *mp, int64_t *mpi)
-{
-    const vd dfj = vset1(df[j]), dgj = vset1(dg[j]), sigj = vset1(sig[j]),
-             mpj = vset1(mp[j]), one = vset1(1.0);
-    const vi jv = vset1i(j);
-    vmask tie = MNONE;
-    vd best = vset1(-INFINITY);
-    /* unrolled, the band's c stays in registers: about 10% fewer ns/cell */
-#pragma GCC unroll 16
-    for (int v = 0; v < nv; v++) {
-        const int64_t o = k + LANES * v;
-        if (update)
-            c[v] += dfj * LD(dg + o) + LD(df + o) * dgj;
-        vd corr = c[v] * sigj * LD(sig + o);
-        best = VMAX(corr, best);  /* a NaN corr never counts */
-        /* VMIN(1, x) is x > 1 ? 1 : x, the column entry's clamp */
-        vd cc = VMIN(one, corr), m = LD(mp + o);
-        tie |= EQ(cc, m);
-        ST(mp + o, VMAX(cc, m));
-        STORE_IDX(mpi + o, GT(cc, m), jv);
-    }
-    if (BITS(tie)) {
-        /* an entry a lane just took holds partner j itself, which
-           tie_wins never replaces */
-        for (int v = 0; v < nv; v++) {
-            const int64_t o = k + LANES * v;
-            vd cc = VMIN(one, c[v] * sigj * LD(sig + o));
-            for (int bits = BITS(EQ(cc, LD(mp + o))); bits;
-                 bits &= bits - 1) {
-                int i = __builtin_ctz(bits);
-                if (tie_wins(o + i, j, mpi[o + i])) {
-                    mp[o + i] = cc[i];
-                    mpi[o + i] = j;
-                }
-            }
-        }
-    }
-    if (BITS(GE(best, mpj))) {
-        /* the row entry's one candidate: the band's largest corr, the
-           lowest lane (nearest partner) among equals; the serial walk,
-           meeting them one by one, keeps the same one */
-        double x = best[0];
-        for (int i = 1; i < LANES; i++)
-            x = best[i] > x ? best[i] : x;
-        for (int v = 0; v < nv; v++) {
-            const int64_t o = k + LANES * v;
-            vd corr = c[v] * sigj * LD(sig + o);
-            int bits = BITS(EQ(corr, vset1(x)));
-            if (bits) {
-                int i = __builtin_ctz(bits);
-                if (corr[i] > mp[j]
-                    || (corr[i] == mp[j] && tie_wins(j, o + i, mpi[j]))) {
-                    mp[j] = corr[i];
-                    mpi[j] = o + i;
-                }
-                break;
-            }
-        }
-    }
-}
-
-/* band_row at a variable vector count (a band's first row and its tail),
-   compiled once: inlined at both sites it adds about 0.1 s to the build */
-static __attribute__((noinline)) void
-band_row_n(int64_t j, int64_t k, int update, int nv, vd *c,
-           const double *df, const double *dg, const double *sig,
-           double *mp, int64_t *mpi)
-{
-    band_row(j, k, update, nv, c, df, dg, sig, mp, mpi);
-}
-
-/* Diagonals d0 .. d0 + LANES nv - 1 walked in lockstep over the row index
-   j (SCAMP's diagonal-blocked CPU tiling).  Each lane streams its diagonal
-   with the scalar walk's own sum order, so every corr has the same bits;
-   the band's column entries are contiguous, so the column merge is one
-   max and masked store per vector, and the row entry takes only the
-   band's best candidate, kept by one max per vector.  Ties go through
-   tie_wins: the band reaches a column entry's candidates farthest partner
-   first. */
-static void walk_band(int64_t d0, int nv, int64_t pl, const double *seed,
-                      const double *df, const double *dg, const double *sig,
-                      double *mp, int64_t *mpi)
-{
-    vd c[BAND_VECS];
-    for (int v = 0; v < nv; v++)
-        c[v] = LD(seed + d0 + LANES * v);
-    band_row_n(0, d0, 0, nv, c, df, dg, sig, mp, mpi);
-    int64_t j = 1;
-    if (nv == BAND_VECS)  /* a constant count keeps the band in registers */
-        for (; j < pl - d0 - LANES * BAND_VECS + 1; j++)
-            band_row(j, d0 + j, 1, BAND_VECS, c, df, dg, sig, mp, mpi);
-    /* lane l ends at row pl - d0 - l - 1: the last vector leaves as soon
-       as its last lane has ended, and its other lanes finish on the
-       scalar walk */
-    for (; nv > 0; j++) {
-        if (pl - d0 - j < LANES * nv) {
-            nv--;
-            for (int i = 0; i < LANES - 1; i++)
-                walk_diag(d0 + LANES * nv + i, j, c[nv][i], pl, df, dg, sig,
-                          mp, mpi);
-        }
-        if (nv > 0)
-            band_row_n(j, d0 + j, 1, nv, c, df, dg, sig, mp, mpi);
-    }
-}
 #endif
 
 /* Self-join diagonals [d_lo, d_hi) into the Pearson profile (mp, mpi):
    bands of 64 diagonals where the host has vectors (8 lanes x 8 with
-   AVX-512F, 4 x 16 with AVX2), one narrower band over the rest, and the
-   scalar walk for the last < LANES diagonals (or for all of them without
-   AVX2).  Every path stores the serial walk's bits. */
+   AVX-512F, 4 x 16 with AVX2) and one narrower band over the rest, else
+   the scalar walk.  Every path stores the serial walk's bits. */
 void mpx_diag_range_native(int64_t d_lo, int64_t d_hi, const double *seed,
                            const double *df, const double *dg,
                            const double *sig, double *mp, int64_t *mpi,
                            int64_t pl)
 {
-    int64_t d = d_lo;
     if (d_hi > pl)
         d_hi = pl;
 #if defined(LANES)
-    while (d_hi - d >= LANES) {
-        int nv = d_hi - d >= LANES * BAND_VECS
-                     ? BAND_VECS : (int)(d_hi - d) / LANES;
-        walk_band(d, nv, pl, seed, df, dg, sig, mp, mpi);
-        d += LANES * nv;
-    }
+    for (int64_t d = d_lo; d < d_hi; d += LANES * BAND_VECS)
+        walk_band(d, d_hi - d < LANES * BAND_VECS ? (int)(d_hi - d)
+                                                  : LANES * BAND_VECS,
+                  pl, seed, df, dg, sig, mp, mpi);
+#else
+    for (int64_t d = d_lo; d < d_hi; d++)
+        walk_diag(d, seed[d], pl, df, dg, sig, mp, mpi);
 #endif
-    for (; d < d_hi; d++)
-        walk_diag(d, 0, seed[d], pl, df, dg, sig, mp, mpi);
 }
+
+#if defined(LANES)
+/* PRE_VECS vectors of consecutive windows at a time: each lane's window
+   sum is one chain of dependent adds, so one vector alone leaves the
+   adders waiting on it */
+#define PRE_VECS 4
+#define GROUP (LANES * PRE_VECS)
+#define LAST_GROUP(i, pl) ((i) + GROUP <= (pl) ? (i) : (pl) - GROUP)
+
+/* mu, sig and seed of the GROUP windows from ts + i on, mu0 being window
+   0's mean.  A window's mean, squared deviations and dot product with
+   window 0 are summed in the scalar loop's order, the last two in one
+   pass.  A constant window of value a has ssq at most
+   w (w u a (1 + w u))^2 (u = 2^-53: its mean is a to w u), far below
+   16 w^3 u^2 mu^2 + DBL_MIN, so only a vector with an ssq that small is
+   checked for constant windows, value by value. */
+static void window_state(const double *ts, int64_t i, int64_t w, double mu0,
+                         double *mu, double *sig, double *seed)
+{
+    const double *x = ts + i;
+    const vd zero = vset1(0.0), one = vset1(1.0), wv = vset1((double)w),
+             tol = vset1(16.0 * w * w * w * 0x1p-106);
+    vd s[PRE_VECS], ssq[PRE_VECS], c[PRE_VECS];
+#pragma GCC unroll 4
+    for (int u = 0; u < PRE_VECS; u++)
+        s[u] = ssq[u] = c[u] = zero;
+    for (int64_t k = 0; k < w; k++)
+#pragma GCC unroll 4
+        for (int u = 0; u < PRE_VECS; u++)
+            s[u] += LD(x + LANES * u + k);
+#pragma GCC unroll 4
+    for (int u = 0; u < PRE_VECS; u++)
+        s[u] /= wv;  /* the mean */
+    for (int64_t k = 0; k < w; k++) {
+        const vd t0 = vset1(ts[k]);
+#pragma GCC unroll 4
+        for (int u = 0; u < PRE_VECS; u++) {
+            const vd xk = LD(x + LANES * u + k), dev = xk - s[u];
+            ssq[u] += dev * dev;
+            c[u] += xk * t0;
+        }
+    }
+#pragma GCC unroll 4
+    for (int u = 0; u < PRE_VECS; u++) {
+        const double *xu = x + LANES * u;
+        vd q = ssq[u];
+        if (BITS(GE(tol * (s[u] * s[u]) + vset1(0x1p-1022), q))) {
+            vmask constant = EQ(LD(xu), LD(xu));  /* NaN lanes are not */
+            for (int64_t k = 1; k < w; k++)
+                constant &= EQ(LD(xu + k), LD(xu));
+            q = VSEL(constant, zero, q);
+        }
+        ST(mu + i + LANES * u, s[u]);
+        ST(sig + i + LANES * u, VSEL(GT(q, zero), one / VSQRT(q), zero));
+        ST(seed + i + LANES * u, c[u] - (wv * s[u]) * vset1(mu0));
+    }
+}
+#endif
 
 /* Per-series self-join state over the pl = n - w + 1 windows of ts:
    moving mean mu and inverse centered norm sig (each window summed
    directly; sig is exactly 0 on a constant window, like muinvn), the
    df/dg difference terms (cympx.pyx:76-80) and the covariance of every
    window against window 0 by exact dot products (the diagonal seeds).
-   The window loops run LANES consecutive windows per vector, each lane
-   summing its window in the scalar loop's order, and the last < LANES
-   windows in the scalar loop. */
+   A series of GROUP windows or more runs them GROUP at a time, LANES per
+   vector, each lane summing its window in the scalar loop's order; a
+   shorter one takes the scalar loop. */
 void mpx_precompute_native(const double *ts, int64_t n, int64_t w,
                            double *mu, double *sig, double *df, double *dg,
                            double *seed)
 {
-    int64_t pl = n - w + 1, i = 0;
+    int64_t pl = n - w + 1, i = 0, seeded = 0;
 #if defined(LANES)
-    const vd zero = vset1(0.0), one = vset1(1.0), wv = vset1((double)w);
-    for (; i + LANES <= pl; i += LANES) {
-        const double *x = ts + i;
-        const vd x0 = LD(x);
-        vd s = zero;
-        vmask constant = EQ(x0, x0);  /* all but NaN lanes, as at k = 0 */
-        for (int64_t k = 0; k < w; k++) {
-            s += LD(x + k);
-            constant &= EQ(LD(x + k), x0);
-        }
-        vd m = s / wv, ssq = zero;
-        for (int64_t k = 0; k < w; k++) {
-            vd dev = LD(x + k) - m;
-            ssq += dev * dev;
-        }
-        ssq = VSEL(constant, zero, ssq);
-        ST(mu + i, m);
-        ST(sig + i, VSEL(GT(ssq, zero), one / VSQRT(ssq), zero));
+    if (pl >= GROUP) {
+        double s0 = 0.0;
+        for (int64_t k = 0; k < w; k++)
+            s0 += ts[k];
+        /* the last group ends at window pl - 1, overlapping the one
+           before: a window's state depends on nothing else, so both
+           store the same */
+        for (; i < pl; i += GROUP)
+            window_state(ts, LAST_GROUP(i, pl), w, s0 / w, mu, sig, seed);
+        seeded = pl;
     }
 #endif
     for (; i < pl; i++) {
@@ -364,16 +468,7 @@ void mpx_precompute_native(const double *ts, int64_t n, int64_t w,
         df[j] = 0.5 * (ts[j + w - 1] - ts[j - 1]);
         dg[j] = (ts[j + w - 1] - mu[j]) + (ts[j - 1] - mu[j - 1]);
     }
-    i = 0;
-#if defined(LANES)
-    for (; i + LANES <= pl; i += LANES) {
-        vd c = zero;
-        for (int64_t k = 0; k < w; k++)
-            c += LD(ts + i + k) * vset1(ts[k]);
-        ST(seed + i, c - (wv * LD(mu + i)) * vset1(mu[0]));
-    }
-#endif
-    for (; i < pl; i++) {
+    for (i = seeded; i < pl; i++) {
         double c = 0.0;
         for (int64_t k = 0; k < w; k++)
             c += ts[i + k] * ts[k];
@@ -406,7 +501,15 @@ void mpx_self_batch(const double *values, const int64_t *offsets,
         for (int64_t j = 0; j < pl; j++) { mp[j] = -1.0; mpi[j] = -1; }
         mpx_diag_range_native(minlag + 1, pl, seed, df, dg, sig, mp, mpi, pl);
         /* final merge clamp (cympx.pyx:104-112), then Pearson -> ED */
-        for (int64_t j = 0; j < pl; j++) {
+        int64_t j = 0;
+#if defined(LANES)
+        for (; j + LANES <= pl; j += LANES) {
+            const vd one = vset1(1.0), p = VMIN(one, LD(mp + j));
+            ST(mp + j, cross_correlation
+                           ? p : VSQRT(vset1(2.0 * w) * (one - p)));
+        }
+#endif
+        for (; j < pl; j++) {
             double p = mp[j] > 1.0 ? 1.0 : mp[j];
             mp[j] = cross_correlation ? p : sqrt((2.0 * w) * (1.0 - p));
         }

@@ -131,15 +131,26 @@ BAND = 64  # diagonals per band of the compiled walk
 W = 8      # minlag 2: diagonals start at 3
 
 
+_VOCAB = ("batch part spark line column order small sort fast value scan "
+          "a hash slow group agg filter query big key window vector table "
+          "customer stream the join data".split())
+
+
 def _band_rows():
-    """Tie-heavy shapes, random rows, a noisy tent and a row with NaN and
-    inf points.  Constant windows have sig 0, so plateau rows tie at +0.0
-    and -0.0 alike: comparing bits also checks which partner's sign of
-    zero was kept.  On the tent, a rising window's partners past the peak
-    all correlate negatively, so a diagonal range can hand an entry only
-    negative candidates.  A window over a NaN or inf has a NaN
-    correlation, which no entry may take."""
+    """Tie-heavy shapes, random rows, a noisy tent, a row with NaN and
+    inf points, and a text row.  Constant windows have sig 0, so plateau
+    rows tie at +0.0 and -0.0 alike: comparing bits also checks which
+    partner's sign of zero was kept.  On the tent, a rising window's
+    partners past the peak all correlate negatively, so a diagonal range
+    can hand an entry only negative candidates.  A window over a NaN or
+    inf has a NaN correlation, which no entry may take.  The text row is
+    what the flagship pipeline profiles: the char codes of words drawn
+    from a 30-word vocabulary, joined by spaces."""
     rng = np.random.default_rng(17)
+
+    def text(n):
+        words = " ".join(rng.choice(_VOCAB, n // 2))
+        return np.frombuffer(words.encode(), np.uint8)[:n].astype("d")
 
     def nan_inf(n):
         x = rng.standard_normal(n)
@@ -159,6 +170,7 @@ def _band_rows():
         "tent": lambda n: -np.abs(np.arange(n) - n // 2)
         + 0.1 * rng.standard_normal(n),
         "nan_inf": nan_inf,
+        "text": text,
     }
 
 
@@ -212,8 +224,12 @@ def test_nan_inf_row_ab_join_without_warnings(self_join_path):
 
 # pl below, equal to and just above a band (the first diagonal is 3, so
 # pl 67 holds exactly one band), a band plus a narrower one that leaves
-# 1-7 diagonals past a multiple of 4 or 8 lanes, several bands
-_BAND_PLS = (40, 64, 66, 67, 68, 70, 71, 72, 74, 75, 76, 79, 134, 150, 700)
+# 1-7 diagonals past a multiple of 4 or 8 lanes, one diagonal short of,
+# at and one diagonal past 2-9 whole bands (each band's tail rows and the
+# next band's first row), several bands
+_BAND_PLS = (40, 64, 66, 67, 68, 70, 71, 72, 74, 75, 76, 79, 134, 150,
+             *(3 + 64 * k + e for k in range(2, 10) for e in (-1, 0, 1)),
+             700)
 
 
 @pytest.mark.parametrize("name", list(_band_rows()))
@@ -387,18 +403,24 @@ def test_every_isa_build_matches_numpy_walk(isa_builds, monkeypatch, name):
 
 def test_precompute_matches_numpy_at_every_lane_remainder(isa_builds,
                                                           monkeypatch):
-    """pl = 1..17 covers every remainder mod 8 and mod 4 of the vector
-    precompute's window loops.  The plateau row's constant windows
-    (starts 5..11) straddle window 8, where a lane group starts at 4 and
-    at 8 lanes alike, so vector lanes must give sig exactly 0; seed, df,
+    """pl = 1..17 runs the scalar loop; pl = 30..69 runs windows 16 (AVX2)
+    or 32 (AVX-512) at a time, the last group overlapping the one before
+    at every remainder.  The plateau rows' constant windows straddle a
+    vector edge near the start and lie in the last group near the end;
+    their value 0.1 (and 1e6 + 0.1) is no dyadic rational, so the window
+    mean rounds and only the exact constant check gives sig 0.  seed, df,
     dg and sig carry the NumPy precompute's bits on every build."""
     rng = np.random.default_rng(29)
-    for pl in range(1, 18):
+    for pl in (*range(1, 18), *range(30, 70)):
         n = pl + W - 1
-        plateau = rng.standard_normal(n)
-        plateau[5:5 + W + 6] = 0.1  # its window mean rounds off 0.1
-        for ts in (rng.standard_normal(n), np.cumsum(rng.standard_normal(n)),
-                   plateau):
+        series = [rng.standard_normal(n), np.cumsum(rng.standard_normal(n))]
+        for value in (0.1, 1e6 + 0.1):
+            plateau = rng.standard_normal(n) + value
+            plateau[5:5 + W + 6] = value
+            if pl >= 30:
+                plateau[n - W - 6:] = value
+            series.append(plateau)
+        for ts in series:
             with monkeypatch.context() as m:
                 m.setattr(_native, "AVAILABLE", False)
                 want = mpx_precompute(ts, W)[:4]
@@ -410,6 +432,8 @@ def test_precompute_matches_numpy_at_every_lane_remainder(isa_builds,
                         err_msg=f"{level} pl={pl} {field}")
         if pl >= 12:
             assert not _bits(want[3][5:12]).any()
+        if pl >= 30:
+            assert not _bits(want[3][-7:]).any()
 
 
 def test_build_tag_covers_source_flags_and_target():
