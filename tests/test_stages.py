@@ -151,6 +151,81 @@ def test_gapfill_batch_int_sentinel():
     assert out["tokens"].to_pylist() == [[5, 6, 7, 8, 8]]
 
 
+@pytest.mark.parametrize("list_type", [pa.list_, pa.large_list])
+@pytest.mark.parametrize("int_type", [pa.int32(), pa.int64()])
+def test_gapfill_batch_gap_free_int_comes_back_unchanged(list_type,
+                                                         int_type):
+    """An int batch without the sentinel is returned as it is: same list
+    flavor and value type, same values, and no copy."""
+    tokens = [[5, 6, 7], [], [0, 2**20, 3], [9]]
+    table = pa.table({
+        "doc_id": ["a", "b", "c", "d"],
+        "tokens": pa.array(tokens, list_type(int_type)),
+    })
+    for batch in (table, table.slice(1, 3)):
+        out = gapfill_batch(batch)
+        assert out is batch
+        assert out.schema == batch.schema
+        assert out["tokens"].to_pylist() == batch["tokens"].to_pylist()
+
+
+def _gapfill_every_row(batch, mode, window=4, sentinel=-1):
+    """Gap-fill by the former rule: every row of a batch with a gap is
+    visited, and the list column is rebuilt from all of them."""
+    from matrixprofile_1_ray.functions.tokenize import numpy_to_list_column
+    from matrixprofile_1_ray.kernels.preprocess import gapfill, impute_missing
+
+    values, offsets = list_column_to_numpy(batch["tokens"])
+    is_int = np.issubdtype(values.dtype, np.integer)
+    fvals = values.astype("d")
+    if is_int:
+        fvals[values == sentinel] = np.nan
+    out = fvals.copy()
+    for i in range(len(batch)):
+        seg = fvals[offsets[i]:offsets[i + 1]]
+        if seg.size and not np.isfinite(seg).all() and np.isfinite(seg).any():
+            seg = (gapfill(seg, mode) if mode in ("forward_fill", "linear")
+                   else impute_missing(seg, window, method=mode))
+        out[offsets[i]:offsets[i + 1]] = seg
+    large = pa.types.is_large_list(batch["tokens"].type)
+    if is_int:
+        gaps = ~np.isfinite(out)
+        ints = np.rint(np.where(gaps, 0.0, out)).astype(values.dtype)
+        ints[gaps] = sentinel
+        return numpy_to_list_column(ints, offsets, large=large)
+    return numpy_to_list_column(out, offsets, large=large)
+
+
+@pytest.mark.parametrize("mode", ["forward_fill", "linear", "mean"])
+@pytest.mark.parametrize("list_type", [pa.list_, pa.large_list])
+def test_gapfill_batch_fills_only_gap_rows_as_before(mode, list_type):
+    """Batches with gaps (the int sentinel, or NaN and inf in a float
+    column) give the former every-row output bit for bit: gap rows
+    filled, gap-free, empty and all-gap rows kept, one list flavor."""
+    rng = np.random.default_rng(3)
+    rows = [rng.integers(0, 50, int(n)).tolist()
+            for n in rng.integers(0, 40, 24)]
+    for r in rows[::3]:
+        if len(r) > 2:
+            r[rng.integers(0, len(r))] = -1
+            r[0] = -1
+    rows[5] = [-1] * 7  # all gap
+    rows[6] = []
+    int_batch = pa.table({"tokens": pa.array(rows, list_type(pa.int64()))})
+    frows = [[np.nan if x == -1 else x + 0.5 for x in r] for r in rows]
+    frows[1] = [1.0, np.inf, 3.0, -np.inf]
+    float_batch = pa.table({"tokens": pa.array(frows,
+                                               list_type(pa.float64()))})
+    for batch in (int_batch, int_batch.slice(2, 15), float_batch,
+                  float_batch.slice(1, 9)):
+        want = _gapfill_every_row(batch, mode)
+        got = gapfill_batch(batch, mode=mode)["tokens"]
+        assert got.type == want.type
+        for g, w in zip(list_column_to_numpy(got),
+                        list_column_to_numpy(want)):
+            np.testing.assert_array_equal(g, w)
+
+
 def test_planted_motifs_recovered():
     """End-to-end semantics: the motif pairs planted by the synthetic
     generator must be recovered by the profile+motif stages."""
