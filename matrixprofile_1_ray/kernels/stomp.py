@@ -25,9 +25,13 @@ from .moving_stats import moving_avg_std
 
 
 def stomp_batch(batch_end, ts, query, window_size, exclusion_zone, is_join,
-                data_mu, data_sig, first_product, skip_locs):
+                data_mu, data_sig, first_product, first_column, skip_locs):
     """Compute the profile contribution of query windows [0, batch_end)
-    — reference stomp.py:19-193 for its first batch."""
+    — reference stomp.py:19-193 for its first batch.  ``first_product``
+    holds the dot products of query window 0 with every ts window,
+    ``first_column`` those of ts window 0 with every query window (the
+    same array in a self-join), and ``skip_locs`` flags the query windows
+    to skip."""
     data_length = ts.shape[0]
     profile_length = data_length - window_size + 1
 
@@ -61,10 +65,9 @@ def stomp_batch(batch_end, ts, query, window_size, exclusion_zone, is_join,
         lmp[better] = dp[better]
         lpi[better] = 0
 
-    # inclusive upper edge, as the reference's (stomp.py:136-137)
-    if batch_end < profile_length:
-        batch_end += 1
-
+    # the reference's inclusive upper edge (stomp.py:136-137) is left out:
+    # in an AB join whose query has fewer windows than ts, it walked one
+    # window past the query's last
     # scratch buffers reused across iterations (no per-step allocations)
     head = ts[: data_length - window_size]
     tail = ts[window_size:]
@@ -83,7 +86,7 @@ def stomp_batch(batch_end, ts, query, window_size, exclusion_zone, is_join,
         lp_head -= head * drop_value
         lp_head += tail * last
         last_product[1:] = lp_head
-        last_product[0] = first_product[i]
+        last_product[0] = first_column[i]
         drop_value = query_window[0]
 
         if skip_locs[i]:
@@ -146,16 +149,21 @@ def stomp(ts, window_size: int, query=None, n_jobs: int = 1):
     num_queries = len(query_arr) - window_size + 1
     exclusion_zone = 0 if is_join else int(np.ceil(window_size / 2.0))
 
-    skip_locs = find_skip_locations(ts, profile_length, window_size)
+    skip_locs = find_skip_locations(query_arr, num_queries, window_size)
     ts = clean_nan_inf(ts)
     query_arr = clean_nan_inf(query_arr)
 
     data_mu, data_sig = moving_avg_std(ts, window_size)
     first_product = fft_convolve(ts, query_arr[:window_size])
+    # an AB join's rolling product restarts each query window from ts
+    # window 0 against it (the reference reuses first_product, which only
+    # a self-join's symmetry makes right)
+    first_column = (fft_convolve(query_arr, ts[:window_size]) if is_join
+                    else first_product)
 
     result = stomp_batch(num_queries, ts, query_arr, window_size,
                          exclusion_zone, is_join, data_mu, data_sig,
-                         first_product, skip_locs)
+                         first_product, first_column, skip_locs)
 
     return {
         "mp": result["mp"],

@@ -55,6 +55,38 @@ def test_stomp_join_mode(sampledata):
     assert len(profile["mp"]) == len(sampledata) - 31
 
 
+def test_stomp_ab_join_stays_within_query_windows(sampledata):
+    """Regression: an AB join whose query has fewer windows than ts walked
+    one window past the query's last (pi == num_queries on 12 entries of
+    this reproducer), and restarted each query window's rolling product
+    from ts window i against query window 0 instead of ts window 0
+    against query window i.  Every pi now names a query window, and mp is
+    the brute-force z-normalized distance to the nearest query window;
+    an exact match whose distance formula took the sqrt of a rounding-
+    negative value (NaN, the reference's convention) gives way to the next
+    nearest."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    w = 32
+    query = sampledata[199:300]
+    num_queries = len(query) - w + 1
+    profile = stomp(sampledata, w, query=query)
+    mp, pi = profile["mp"], profile["pi"]
+    assert (pi >= 0).all() and (pi < num_queries).all()
+
+    def znorm(wins):
+        return ((wins - wins.mean(axis=1, keepdims=True))
+                / wins.std(axis=1, keepdims=True))
+
+    dist = np.linalg.norm(znorm(sliding_window_view(sampledata, w))[:, None]
+                          - znorm(sliding_window_view(query, w))[None],
+                          axis=2)
+    skipped = (dist < 1e-6) & (mp[:, None] > 1e-6)
+    np.testing.assert_allclose(mp, np.where(skipped, np.inf, dist).min(1),
+                               atol=1e-5)
+    np.testing.assert_allclose(dist[np.arange(len(mp)), pi], mp, atol=1e-5)
+
+
 def test_nan_windows_skipped():
     ts = np.array([0, 1, 1, 0, 0, np.nan, 1, 0, 0, 1, 1, 0])
     profile = stomp(ts, 4)
