@@ -47,10 +47,11 @@ Scale design — why the store is partitioned by ``kind/tier/epoch``:
   Its ``row_group_size`` is pyarrow's own row-group cap, so each write
   task writes one row group per partition it touches instead of one per
   256-row map batch, and a serving scan reads one footer and one group
-  per file.  Every column chunk is zstd (default level), and only the
-  string key columns ``doc_id``/``source`` get dictionary pages: on the
-  float rollups a dictionary only adds bytes.  The file count still
-  follows the write tasks (one per block).
+  per file.  Every column chunk is zstd (default level) and none has a
+  dictionary page: zstd alone packs the repeated string keys tighter
+  than a dictionary does, and on the float rollups a dictionary only
+  adds bytes.  The file count still follows the write tasks (one per
+  block).
 * **Epoch width AND the tier->seconds map are stored in the layout**
   (``_store_meta.json``), so a reader can never prune with different
   arithmetic than the writer used.
@@ -74,12 +75,13 @@ _META_NAME = "_store_meta.json"
 _LOG_NAME = "_retention_log.jsonl"
 # the store's Parquet writer arguments: row groups of up to pyarrow's own
 # cap (1 Mi rows), so a write task's rows for one partition land in one
-# row group; zstd at its default level; dictionary pages on the string key
-# columns only (on the numeric rollups they cost bytes: the sf0.1 store is
-# 1 073 622 B with them against 999 852 B without; zstd level 9 saves
-# 3.6 % at 2.6x the encode time)
+# row group; zstd at its default level; no dictionary pages, not even on
+# the string keys (pyarrow's default puts one on every column: the sf0.1
+# store at 1 CPU is 1 073 622 B with them, 999 852 B with them on
+# doc_id/source only and 956 622 B with none; zstd level 9 saves 3.6 %
+# at 2.6x the encode time)
 PARQUET_ARGS = {"row_group_size": 1024 * 1024, "compression": "zstd",
-                "use_dictionary": ["doc_id", "source"]}
+                "use_dictionary": False}
 
 
 @dataclass(frozen=True)

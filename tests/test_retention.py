@@ -415,9 +415,9 @@ def test_writes_hold_one_row_group(store, sf0001_store):
         assert counts and set(counts) == {1}
 
 
-def test_writes_are_zstd_with_string_dictionaries(sf0001_store):
+def test_writes_are_zstd_without_dictionaries(sf0001_store):
     """The store write compresses every column chunk with zstd and puts
-    dictionary pages on the string key columns only."""
+    no dictionary page on any, the string keys included."""
     files = _parquet_files(sf0001_store)
     assert files
     for path in files:
@@ -426,8 +426,8 @@ def test_writes_are_zstd_with_string_dictionaries(sf0001_store):
                   for g in range(md.num_row_groups)
                   for i in range(md.num_columns)]
         assert {c.compression for c in chunks} == {"ZSTD"}, path
-        assert {c.path_in_schema for c in chunks
-                if c.has_dictionary_page} == {"doc_id", "source"}, path
+        assert not [c.path_in_schema for c in chunks
+                    if c.has_dictionary_page], path
 
 
 def test_content_digest_ignores_the_encoding(store, tmp_path):
