@@ -65,9 +65,10 @@ def stomp_batch(batch_end, ts, query, window_size, exclusion_zone, is_join,
         lmp[better] = dp[better]
         lpi[better] = 0
 
-    # the reference's inclusive upper edge (stomp.py:136-137) is left out:
-    # in an AB join whose query has fewer windows than ts, it walked one
-    # window past the query's last
+    # no inclusive upper edge (the reference's stomp.py:136-137): with a
+    # query of fewer windows than ts it would walk one window past the
+    # query's last
+
     # scratch buffers reused across iterations (no per-step allocations)
     head = ts[: data_length - window_size]
     tail = ts[window_size:]
